@@ -10,16 +10,17 @@ BENCH_OUT ?= BENCH_$(shell date +%F).json
 # benchmarks and fails on a >15% time regression against that snapshot.
 BENCH_BASELINE ?=
 
-.PHONY: all check build vet test determinism race detect-smoke bench bench-sim benchdiff benchgate telemetry-overhead trace-golden postmortem-golden fuzz fuzz-smoke churn-fuzz cache-fuzz cover examples experiments clean
+.PHONY: all check build vet test determinism race detect-smoke bench bench-sim benchdiff benchgate telemetry-overhead trace-golden postmortem-golden taggersim-golden fuzz fuzz-smoke churn-fuzz cache-fuzz cover examples experiments clean
 
 all: check
 
 # check is the pre-merge gate: build, vet, tests, the parallel-determinism
 # contract under the race detector, the full race suite, the
 # detect-vs-prevent matrix smoke, the bounded differential fuzz smoke,
-# the trace-format and post-mortem goldens, the telemetry overhead gate,
-# and (opt-in via BENCH_BASELINE) the benchmark regression gate.
-check: build vet test determinism race detect-smoke fuzz-smoke churn-fuzz cache-fuzz trace-golden postmortem-golden telemetry-overhead benchgate
+# the trace-format, post-mortem and taggersim report goldens, the
+# telemetry overhead gate, and (opt-in via BENCH_BASELINE) the benchmark
+# regression gate.
+check: build vet test determinism race detect-smoke fuzz-smoke churn-fuzz cache-fuzz trace-golden postmortem-golden taggersim-golden telemetry-overhead benchgate
 
 build:
 	$(GO) build ./...
@@ -115,6 +116,19 @@ else
 	$(GO) test -count=1 -run 'TestGoldenPostmortem' ./cmd/taggertrace/ -update
 endif
 	$(GO) test -count=1 -run 'ZeroAlloc' ./internal/trace/ ./internal/sim/
+
+# Verifies the taggersim report goldens: the stdout of every fast
+# experiment (fig10, fig11, table1, multiclass, budget, compression,
+# recovery, churn -runs 1) must match cmd/taggersim/testdata/<exp>.golden
+# byte for byte, and input an experiment cannot honour must exit 2.
+# After an INTENTIONAL report change, regenerate with
+# `make taggersim-golden UPDATE=1` and review the diff.
+taggersim-golden:
+ifeq ($(strip $(UPDATE)),)
+	$(GO) test -count=1 ./cmd/taggersim/
+else
+	$(GO) test -count=1 -run 'TestGoldenStdout' ./cmd/taggersim/ -update
+endif
 
 fuzz:
 	$(GO) test -fuzz FuzzDecodeRoCEv2 -fuzztime 30s ./internal/wire/

@@ -169,11 +169,11 @@ func BenchmarkFigure6GreedyVsOptimal(b *testing.B) {
 
 // --- Figures 10-12: simulator experiments ---------------------------------------
 
-func benchFigure(b *testing.B, run func(bool) ExperimentResult, withTagger bool) {
+func benchFigure(b *testing.B, name string, withTagger bool) {
 	b.Helper()
 	var res ExperimentResult
 	for i := 0; i < b.N; i++ {
-		res = run(withTagger)
+		res = mustFigure(b, name, withTagger)
 	}
 	dl := 0.0
 	if res.Deadlocked {
@@ -187,12 +187,12 @@ func benchFigure(b *testing.B, run func(bool) ExperimentResult, withTagger bool)
 	b.ReportMetric(late, "late-gbps")
 }
 
-func BenchmarkFigure10Baseline(b *testing.B)   { benchFigure(b, Figure10, false) }
-func BenchmarkFigure10WithTagger(b *testing.B) { benchFigure(b, Figure10, true) }
-func BenchmarkFigure11Baseline(b *testing.B)   { benchFigure(b, Figure11, false) }
-func BenchmarkFigure11WithTagger(b *testing.B) { benchFigure(b, Figure11, true) }
-func BenchmarkFigure12Baseline(b *testing.B)   { benchFigure(b, Figure12, false) }
-func BenchmarkFigure12WithTagger(b *testing.B) { benchFigure(b, Figure12, true) }
+func BenchmarkFigure10Baseline(b *testing.B)   { benchFigure(b, "fig10", false) }
+func BenchmarkFigure10WithTagger(b *testing.B) { benchFigure(b, "fig10", true) }
+func BenchmarkFigure11Baseline(b *testing.B)   { benchFigure(b, "fig11", false) }
+func BenchmarkFigure11WithTagger(b *testing.B) { benchFigure(b, "fig11", true) }
+func BenchmarkFigure12Baseline(b *testing.B)   { benchFigure(b, "fig12", false) }
+func BenchmarkFigure12WithTagger(b *testing.B) { benchFigure(b, "fig12", true) }
 
 // --- §8 overhead -------------------------------------------------------------------
 

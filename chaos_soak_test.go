@@ -16,7 +16,7 @@ func TestChaosSoak(t *testing.T) {
 	seeds := []int64{1, 2, 3}
 	baselineDeadlocks := 0
 	for _, seed := range seeds {
-		with, err := ChaosSoak(seed, true)
+		with, err := ChaosSoak(seed, true, Observers{})
 		if err != nil {
 			t.Fatalf("seed %d with Tagger: %v", seed, err)
 		}
@@ -34,7 +34,7 @@ func TestChaosSoak(t *testing.T) {
 			t.Errorf("seed %d: watchdog never sampled", seed)
 		}
 
-		without, err := ChaosSoak(seed, false)
+		without, err := ChaosSoak(seed, false, Observers{})
 		if err != nil {
 			t.Fatalf("seed %d without Tagger: %v", seed, err)
 		}
@@ -51,11 +51,11 @@ func TestChaosSoak(t *testing.T) {
 // result structures across runs, both with and without Tagger.
 func TestChaosSoakDeterministic(t *testing.T) {
 	for _, withTagger := range []bool{false, true} {
-		a, err := ChaosSoak(2, withTagger)
+		a, err := ChaosSoak(2, withTagger, Observers{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := ChaosSoak(2, withTagger)
+		b, err := ChaosSoak(2, withTagger, Observers{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +70,7 @@ func TestChaosSoakDeterministic(t *testing.T) {
 // in their own counter and never in the lossless-drop invariant.
 func TestChaosSoakCountsRebootLossesSeparately(t *testing.T) {
 	// Seed 2's schedule includes reboots that catch queued traffic.
-	r, err := ChaosSoak(2, true)
+	r, err := ChaosSoak(2, true, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestChaosSoakCountsRebootLossesSeparately(t *testing.T) {
 // "soak" span — the wiring the taggersim ops endpoint serves.
 func TestChaosSoakTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	r, err := ChaosSoakWithTelemetry(1, true, reg)
+	r, err := ChaosSoak(1, true, Observers{Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,12 +30,12 @@ func TestChaosSweepParDeterminism(t *testing.T) {
 	seeds := sweep.Seeds(1, 4)
 	for _, withTagger := range []bool{false, true} {
 		serialReg := telemetry.NewRegistry()
-		serial, err := ChaosSweep(seeds, withTagger, 1, serialReg)
+		serial, err := ChaosSweep(seeds, withTagger, 1, Observers{Telemetry: serialReg})
 		if err != nil {
 			t.Fatalf("withTagger=%v serial: %v", withTagger, err)
 		}
 		parReg := telemetry.NewRegistry()
-		par, err := ChaosSweep(seeds, withTagger, 4, parReg)
+		par, err := ChaosSweep(seeds, withTagger, 4, Observers{Telemetry: parReg})
 		if err != nil {
 			t.Fatalf("withTagger=%v par: %v", withTagger, err)
 		}
@@ -78,12 +78,12 @@ func TestChaosSweepParDeterminism(t *testing.T) {
 // element i equals an independent ChaosSoak of the same seed.
 func TestChaosSweepMatchesSoak(t *testing.T) {
 	seeds := sweep.Seeds(1, 2)
-	res, err := ChaosSweep(seeds, true, 0, nil)
+	res, err := ChaosSweep(seeds, true, 0, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, seed := range seeds {
-		solo, err := ChaosSoak(seed, true)
+		solo, err := ChaosSoak(seed, true, Observers{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,14 +92,20 @@ func main() {
 		}
 	}
 
-	failures := 0
+	var failures int
 	switch {
 	case *churn:
-		failures = runChurn(topos, *base, *seeds, *par, *quiet, *out)
+		failures = sweepBattery(battery[check.ChurnCase]{
+			gen: check.GenChurnCase, run: check.RunChurnCase, shrink: check.ShrinkChurn,
+			reproName: check.ChurnReproName, reproSource: check.ChurnReproSource,
+		}, topos, *base, *seeds, *par, *quiet, *out)
 	case *cfuzz:
 		failures = runCache(topos, *base, *seeds, *par, *quiet)
 	default:
-		failures = runBattery(topos, *base, *seeds, *par, *quiet, *out)
+		failures = sweepBattery(battery[check.Case]{
+			gen: check.GenCase, run: check.RunCase, shrink: check.Shrink,
+			reproName: check.ReproName, reproSource: check.ReproSource,
+		}, topos, *base, *seeds, *par, *quiet, *out)
 	}
 
 	if failures > 0 {
@@ -116,21 +122,33 @@ func main() {
 		*seeds, len(topos), map[bool]string{true: "y", false: "ies"}[len(topos) == 1])
 }
 
-// runBattery sweeps the classic differential battery. One verdict per
-// (topology, seed); the sweep itself never errors — a failing battery is
-// the verdict, carried in the result.
-func runBattery(topos []string, base int64, seeds, par int, quiet bool, out string) int {
+// battery is one differential check family: how a seed becomes a case,
+// how a case is judged, and — when shrink is set — how a failing case
+// shrinks and becomes a runnable repro test.
+type battery[C fmt.Stringer] struct {
+	gen         func(topo string, seed int64) C
+	run         func(C) error
+	shrink      func(C, func(C) bool) C // nil: report failures unshrunk
+	reproName   func(C) string
+	reproSource func(C, error) string
+}
+
+// sweepBattery runs b over every (topology, seed) and reports one
+// verdict per case in seed order. The sweep itself never errors — a
+// failing case is the verdict, carried in the result. Each failure
+// shrinks to a minimal failing case, written under out as a repro test.
+// It returns the number of failing cases.
+func sweepBattery[C fmt.Stringer](b battery[C], topos []string, base int64, seeds, par int, quiet bool, out string) int {
 	type verdict struct {
-		c   check.Case
+		c   C
 		err error
 	}
 	failures := 0
 	for _, t := range topos {
-		t := t
 		verdicts, _ := sweep.Run(sweep.Seeds(base, seeds), par,
 			func(seed int64) (verdict, error) {
-				c := check.GenCase(t, seed)
-				return verdict{c: c, err: check.RunCase(c)}, nil
+				c := b.gen(t, seed)
+				return verdict{c: c, err: b.run(c)}, nil
 			})
 		for _, v := range verdicts {
 			if v.err == nil {
@@ -141,8 +159,11 @@ func runBattery(topos []string, base int64, seeds, par int, quiet bool, out stri
 			}
 			failures++
 			fmt.Printf("FAIL %s\n     %v\n", v.c, v.err)
-			min := check.Shrink(v.c, func(c check.Case) bool { return check.RunCase(c) != nil })
-			minErr := check.RunCase(min)
+			if b.shrink == nil {
+				continue
+			}
+			min := b.shrink(v.c, func(c C) bool { return b.run(c) != nil })
+			minErr := b.run(min)
 			if minErr == nil {
 				// Shrink guarantees the returned case fails its predicate;
 				// a pass here means the failure is flaky — report the
@@ -150,49 +171,8 @@ func runBattery(topos []string, base int64, seeds, par int, quiet bool, out stri
 				min, minErr = v.c, v.err
 			}
 			fmt.Printf("     shrunk to %s\n", min)
-			path := filepath.Join(out, fmt.Sprintf("repro_%s_test.go", check.ReproName(min)))
-			if werr := writeRepro(path, check.ReproSource(min, minErr)); werr != nil {
-				log.Printf("taggerfuzz: writing repro: %v", werr)
-			} else {
-				fmt.Printf("     repro written to %s\n", path)
-			}
-		}
-	}
-	return failures
-}
-
-// runChurn sweeps the churn differential with the same verdict/shrink/
-// repro discipline as the classic battery.
-func runChurn(topos []string, base int64, seeds, par int, quiet bool, out string) int {
-	type verdict struct {
-		c   check.ChurnCase
-		err error
-	}
-	failures := 0
-	for _, t := range topos {
-		t := t
-		verdicts, _ := sweep.Run(sweep.Seeds(base, seeds), par,
-			func(seed int64) (verdict, error) {
-				c := check.GenChurnCase(t, seed)
-				return verdict{c: c, err: check.RunChurnCase(c)}, nil
-			})
-		for _, v := range verdicts {
-			if v.err == nil {
-				if !quiet {
-					fmt.Printf("ok   %s\n", v.c)
-				}
-				continue
-			}
-			failures++
-			fmt.Printf("FAIL %s\n     %v\n", v.c, v.err)
-			min := check.ShrinkChurn(v.c, func(c check.ChurnCase) bool { return check.RunChurnCase(c) != nil })
-			minErr := check.RunChurnCase(min)
-			if minErr == nil {
-				min, minErr = v.c, v.err
-			}
-			fmt.Printf("     shrunk to %s\n", min)
-			path := filepath.Join(out, fmt.Sprintf("repro_%s_test.go", check.ChurnReproName(min)))
-			if werr := writeRepro(path, check.ChurnReproSource(min, minErr)); werr != nil {
+			path := filepath.Join(out, fmt.Sprintf("repro_%s_test.go", b.reproName(min)))
+			if werr := writeRepro(path, b.reproSource(min, minErr)); werr != nil {
 				log.Printf("taggerfuzz: writing repro: %v", werr)
 			} else {
 				fmt.Printf("     repro written to %s\n", path)
@@ -209,30 +189,11 @@ func runChurn(topos []string, base int64, seeds, par int, quiet bool, out string
 // cases are cheap and fully determined by (topo, seed), so failures are
 // reported directly without the shrink/repro pipeline.
 func runCache(topos []string, base int64, seeds, par int, quiet bool) int {
-	type verdict struct {
-		c   check.CacheCase
-		err error
-	}
 	cache := synthcache.New(48)
-	failures := 0
-	for _, t := range topos {
-		t := t
-		verdicts, _ := sweep.Run(sweep.Seeds(base, seeds), par,
-			func(seed int64) (verdict, error) {
-				c := check.GenCacheCase(t, seed)
-				return verdict{c: c, err: check.RunCacheCase(c, cache)}, nil
-			})
-		for _, v := range verdicts {
-			if v.err == nil {
-				if !quiet {
-					fmt.Printf("ok   %s\n", v.c)
-				}
-				continue
-			}
-			failures++
-			fmt.Printf("FAIL %s\n     %v\n", v.c, v.err)
-		}
-	}
+	failures := sweepBattery(battery[check.CacheCase]{
+		gen: check.GenCacheCase,
+		run: func(c check.CacheCase) error { return check.RunCacheCase(c, cache) },
+	}, topos, base, seeds, par, quiet, "")
 	st := cache.Stats()
 	fmt.Printf("taggerfuzz: cache stats: %d hits / %d misses (ratio %.2f), %d translated, %d pod-stamped, %d evictions, %d single-flight waits\n",
 		st.Hits, st.Misses, st.HitRatio(), st.Translated, st.PodStamped, st.Evictions, st.SingleFlightWait)

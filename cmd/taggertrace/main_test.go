@@ -43,8 +43,15 @@ func regenerate(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := tagger.FigureTracedFormat("fig10", false, f, g.format); err != nil {
+		tr, finish, err := tagger.NewTracer(f, g.format)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if _, err := tagger.Figure("fig10", false, tagger.Observers{Tracer: tr}); err != nil {
+			t.Fatal(err)
+		}
+		if dropped, err := finish(); err != nil || dropped > 0 {
+			t.Fatalf("%s capture lost %d events: %v", g.format, dropped, err)
 		}
 		if err := f.Close(); err != nil {
 			t.Fatal(err)
@@ -123,7 +130,7 @@ func regeneratePostmortem(t *testing.T) {
 	if err := os.MkdirAll("testdata", 0o755); err != nil {
 		t.Fatal(err)
 	}
-	res, err := tagger.DetectRunFlightRec(1, tagger.ArmDetect, nil, tagger.FlightRecConfig{})
+	res, err := tagger.DetectRun(1, tagger.ArmDetect, tagger.Observers{FlightRec: &tagger.FlightRecConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +194,7 @@ func TestGoldenPostmortemFresh(t *testing.T) {
 	if err != nil {
 		t.Skipf("golden incident missing (run with -update): %v", err)
 	}
-	res, err := tagger.DetectRunFlightRec(1, tagger.ArmDetect, nil, tagger.FlightRecConfig{})
+	res, err := tagger.DetectRun(1, tagger.ArmDetect, tagger.Observers{FlightRec: &tagger.FlightRecConfig{}})
 	if err != nil {
 		t.Fatal(err)
 	}

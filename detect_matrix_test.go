@@ -18,7 +18,7 @@ import (
 // the unprotected control deadlocks on every seed and never recovers.
 func TestDetectMatrixSmoke(t *testing.T) {
 	seeds := sweep.Seeds(1, 6)
-	matrix, err := DetectMatrix(seeds, 0, nil)
+	matrix, err := DetectMatrix(seeds, 0, Observers{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,12 +102,12 @@ func TestDetectMatrixSmoke(t *testing.T) {
 func TestDetectMatrixParDeterminism(t *testing.T) {
 	seeds := sweep.Seeds(1, 3)
 	serialReg := telemetry.NewRegistry()
-	serial, err := DetectMatrix(seeds, 1, serialReg)
+	serial, err := DetectMatrix(seeds, 1, Observers{Telemetry: serialReg})
 	if err != nil {
 		t.Fatal(err)
 	}
 	parReg := telemetry.NewRegistry()
-	par, err := DetectMatrix(seeds, 4, parReg)
+	par, err := DetectMatrix(seeds, 4, Observers{Telemetry: parReg})
 	if err != nil {
 		t.Fatal(err)
 	}

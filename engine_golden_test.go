@@ -122,7 +122,7 @@ func runGoldenScenario(build func() *workload.Scenario) scenarioGolden {
 }
 
 func runGoldenChaos(seed int64, withTagger bool) (chaosGolden, error) {
-	r, err := ChaosSoak(seed, withTagger)
+	r, err := ChaosSoak(seed, withTagger, Observers{})
 	if err != nil {
 		return chaosGolden{}, err
 	}

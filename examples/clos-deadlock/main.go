@@ -6,6 +6,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	tagger "repro"
 	"repro/internal/metrics"
@@ -16,14 +17,18 @@ func main() {
 	fmt.Println()
 
 	fmt.Println("--- without Tagger ---")
-	show(tagger.Figure10(false))
+	show(false)
 
 	fmt.Println()
 	fmt.Println("--- with Tagger (bounce budget k=1, 2 lossless queues) ---")
-	show(tagger.Figure10(true))
+	show(true)
 }
 
-func show(res tagger.ExperimentResult) {
+func show(withTagger bool) {
+	res, err := tagger.Figure("fig10", withTagger, tagger.Observers{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	if res.Deadlocked {
 		fmt.Println("deadlock: the pause-wait cycle is exactly the paper's CBD:")
 		for _, e := range res.Cycle {

@@ -1,6 +1,7 @@
 package tagger
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
@@ -256,6 +257,13 @@ type ExperimentResult struct {
 	Cycle      []string // the detected pause-wait cycle, if any
 	Flows      []FlowSeries
 	Drops      sim.DropStats
+
+	// Incidents holds the flight-recorder captures when one was armed;
+	// FlightRecDropped and FlightRecOverwrites are its capture-loss
+	// counters (triggers not captured, ring entries overwritten).
+	Incidents           []sim.Incident
+	FlightRecDropped    int64
+	FlightRecOverwrites int64
 }
 
 func runScenario(s *workload.Scenario) ExperimentResult {
@@ -276,101 +284,99 @@ func runScenario(s *workload.Scenario) ExperimentResult {
 	return res
 }
 
-// Figure10 runs the 1-bounce deadlock experiment; withTagger selects the
-// (a)/(b) halves of the figure.
-func Figure10(withTagger bool) ExperimentResult {
-	opt := workload.Options{}
-	if withTagger {
-		opt.Bounces = 1
-	}
-	return runScenario(workload.Figure10(opt))
-}
-
 // Reconvergence runs the organic failure experiment: no pinned paths —
 // two link failures, local fast-reroute detours (the 1-bounce paths),
 // stale upstream routes with transient micro-loops, then global
 // convergence at 15 ms. It is the §3 story end to end.
 func Reconvergence(withTagger bool, flows int) ExperimentResult {
-	opt := workload.Options{}
-	if withTagger {
-		opt.Bounces = 1
-	}
-	return runScenario(workload.Reconvergence(opt, flows))
+	return runScenario(workload.Reconvergence(taggerOptions(withTagger), flows))
 }
 
-// Trace encodings accepted by the traced experiment drivers.
+// taggerOptions is the paired experiments' deployment choice: bare, or
+// Tagger rules for the 1-bounce ELP.
+func taggerOptions(withTagger bool) workload.Options {
+	if withTagger {
+		return workload.Options{Bounces: 1}
+	}
+	return workload.Options{}
+}
+
+// Observers is the one way to watch an experiment. Every field is
+// optional; the zero value runs the experiment bare, and attaching an
+// observer never changes what the experiment computes.
+//
+//   - Telemetry receives the run's operational metrics. What lands there
+//     is per experiment: the simulator's PFC metrics for Figure, plus the
+//     controller's deploy counters and spans for ChaosSoak and ChurnSoak;
+//     only the detect.matrix.* counters for DetectRun and DetectMatrix.
+//   - Tracer receives the packet simulation's event stream (build one
+//     with NewTracer). A tracer is one ordered single-producer stream, so
+//     the fan-out drivers ChaosSweep and DetectMatrix refuse it.
+//   - FlightRec arms the flight recorder (Figure, DetectRun, DetectMatrix);
+//     its captures come back in the result's Incidents,
+//     FlightRecDropped and FlightRecOverwrites.
+type Observers struct {
+	Telemetry *telemetry.Registry
+	Tracer    sim.Tracer
+	FlightRec *sim.FlightRecConfig
+}
+
+// attach installs obs on n: telemetry, then the tracer, then the flight
+// recorder, which chains the tracer as EnableFlightRecorder requires. It
+// returns the recorder, or nil when none is configured.
+func attach(n *sim.Network, obs Observers) *sim.FlightRecorder {
+	if obs.Telemetry != nil {
+		n.SetTelemetry(obs.Telemetry)
+	}
+	if obs.Tracer != nil {
+		n.SetTracer(obs.Tracer)
+	}
+	if obs.FlightRec == nil {
+		return nil
+	}
+	return n.EnableFlightRecorder(*obs.FlightRec)
+}
+
+// Trace encodings accepted by NewTracer.
 const (
 	TraceJSONL  = "jsonl"
 	TraceBinary = "binary"
 )
 
-// CaptureStats reports what one traced run's capture path shed:
-// Dropped counts events the writer lost — the binary tracer's SPSC
-// ring under backpressure, or JSONL events arriving after a write
-// error. Surfaced so a lossy capture never reads as a complete one.
-type CaptureStats struct {
-	Dropped int64
-}
-
-// NewTracerStats builds an event tracer writing to w in the requested
-// encoding. The returned finish function flushes the capture and hands
-// back its loss counters; a write error is returned as an error, but
-// ring drops alone are the caller's policy call (NewTracer turns them
-// into errors; taggersim surfaces them in its end-of-run summary).
-// Call finish exactly once, after the simulation completes.
-func NewTracerStats(w io.Writer, format string) (sim.Tracer, func() (CaptureStats, error), error) {
+// NewTracer builds an event tracer writing to w in the requested
+// encoding. Call the returned finish function exactly once, after the
+// simulation completes: it flushes the capture and reports how many
+// events the writer lost (the binary tracer's ring under backpressure,
+// or JSONL events arriving after a write error). A write error is an
+// error; whether drops alone are is the caller's policy.
+func NewTracer(w io.Writer, format string) (sim.Tracer, func() (dropped int64, err error), error) {
 	switch format {
 	case "", TraceJSONL:
 		tr := &sim.JSONLTracer{W: w}
-		return tr, func() (CaptureStats, error) {
-			st := CaptureStats{Dropped: tr.Dropped}
+		return tr, func() (int64, error) {
 			if tr.Err != nil {
-				return st, fmt.Errorf("tagger: trace write: %w (%d events dropped)", tr.Err, tr.Dropped)
+				return tr.Dropped, fmt.Errorf("tagger: trace write: %w (%d events dropped)", tr.Err, tr.Dropped)
 			}
-			return st, nil
+			return tr.Dropped, nil
 		}, nil
 	case TraceBinary:
 		bt, err := sim.NewBinaryTracer(w, trace.Config{})
 		if err != nil {
 			return nil, nil, err
 		}
-		return bt, func() (CaptureStats, error) {
+		return bt, func() (int64, error) {
 			if err := bt.Close(); err != nil {
-				return CaptureStats{Dropped: bt.Dropped()}, fmt.Errorf("tagger: trace write: %w", err)
+				return bt.Dropped(), fmt.Errorf("tagger: trace write: %w", err)
 			}
-			return CaptureStats{Dropped: bt.Dropped()}, nil
+			return bt.Dropped(), nil
 		}, nil
 	}
 	return nil, nil, fmt.Errorf("tagger: unknown trace format %q (want %s or %s)", format, TraceJSONL, TraceBinary)
 }
 
-// NewTracer is NewTracerStats with the strict loss policy folded in:
-// finish reports any loss — a write error, or (binary) ring-buffer
-// drops — as an error.
-func NewTracer(w io.Writer, format string) (sim.Tracer, func() error, error) {
-	tr, finish, err := NewTracerStats(w, format)
-	if err != nil {
-		return nil, nil, err
-	}
-	isBinary := format == TraceBinary
-	return tr, func() error {
-		st, err := finish()
-		if err != nil {
-			return err
-		}
-		if isBinary && st.Dropped > 0 {
-			return fmt.Errorf("tagger: binary trace dropped %d events", st.Dropped)
-		}
-		return nil
-	}, nil
-}
-
 // figureScenario builds the named figure experiment's scenario.
 func figureScenario(name string, withTagger bool) (*workload.Scenario, error) {
-	opt := workload.Options{}
-	if withTagger {
-		opt.Bounces = 1
-	}
+	opt := taggerOptions(withTagger)
 	switch name {
 	case "fig10":
 		return workload.Figure10(opt), nil
@@ -382,77 +388,28 @@ func figureScenario(name string, withTagger bool) (*workload.Scenario, error) {
 	return nil, fmt.Errorf("tagger: unknown figure %q", name)
 }
 
-// FigureTracedStats runs one of the figure experiments with an event
-// trace written to w, surfacing the capture-loss counters so the
-// caller can put them in its end-of-run summary. Drops alone are not
-// an error here; a write failure is.
-func FigureTracedStats(name string, withTagger bool, w io.Writer, format string) (ExperimentResult, CaptureStats, error) {
+// Figure runs one of the testbed figure experiments: "fig10" (the
+// 1-bounce deadlock), "fig11" (the routing loop) or "fig12" (PAUSE
+// propagation in a shuffle). withTagger selects the with/without halves
+// of the paper's paired plots. With a flight recorder armed, deadlock
+// onset (or an invariant violation) freezes the last-window ring and
+// captures a self-contained incident into the result.
+func Figure(name string, withTagger bool, obs Observers) (ExperimentResult, error) {
 	s, err := figureScenario(name, withTagger)
 	if err != nil {
-		return ExperimentResult{}, CaptureStats{}, err
+		return ExperimentResult{}, err
 	}
-	tr, finish, err := NewTracerStats(w, format)
-	if err != nil {
-		return ExperimentResult{}, CaptureStats{}, err
-	}
-	s.Net.SetTracer(tr)
+	fr := attach(s.Net, obs)
 	res := runScenario(s)
-	st, err := finish()
-	return res, st, err
-}
-
-// FigureTracedFormat runs one of the figure experiments with an event
-// trace (pauses, resumes, demotions, drops, deadlock onsets) written to
-// w in the given encoding (TraceJSONL or TraceBinary); any capture
-// loss is an error.
-func FigureTracedFormat(name string, withTagger bool, w io.Writer, format string) (ExperimentResult, error) {
-	res, st, err := FigureTracedStats(name, withTagger, w, format)
-	if err != nil {
-		return res, err
-	}
-	if format == TraceBinary && st.Dropped > 0 {
-		return res, fmt.Errorf("tagger: binary trace dropped %d events", st.Dropped)
+	if fr != nil {
+		res.Incidents = fr.Incidents()
+		res.FlightRecDropped = fr.DroppedTriggers()
+		res.FlightRecOverwrites = fr.Overwrites()
+		if err := fr.SinkErr(); err != nil {
+			return res, fmt.Errorf("tagger: %s: flight-recorder sink: %w", name, err)
+		}
 	}
 	return res, nil
-}
-
-// FigureFlightRec runs one of the figure experiments with the flight
-// recorder armed: deadlock onset (or an invariant violation) freezes
-// the last-window ring and captures a self-contained incident. The
-// returned recorder holds the incidents and the capture-loss counters
-// (DroppedTriggers, Overwrites) for the end-of-run summary.
-func FigureFlightRec(name string, withTagger bool, cfg sim.FlightRecConfig) (ExperimentResult, *sim.FlightRecorder, error) {
-	s, err := figureScenario(name, withTagger)
-	if err != nil {
-		return ExperimentResult{}, nil, err
-	}
-	fr := s.Net.EnableFlightRecorder(cfg)
-	res := runScenario(s)
-	return res, fr, nil
-}
-
-// FigureTraced is FigureTracedFormat pinned to the legacy JSONL
-// encoding.
-func FigureTraced(name string, withTagger bool, w io.Writer) (ExperimentResult, error) {
-	return FigureTracedFormat(name, withTagger, w, TraceJSONL)
-}
-
-// Figure11 runs the routing-loop experiment.
-func Figure11(withTagger bool) ExperimentResult {
-	opt := workload.Options{}
-	if withTagger {
-		opt.Bounces = 1
-	}
-	return runScenario(workload.Figure11(opt))
-}
-
-// Figure12 runs the PAUSE-propagation shuffle experiment.
-func Figure12(withTagger bool) ExperimentResult {
-	opt := workload.Options{}
-	if withTagger {
-		opt.Bounces = 1
-	}
-	return runScenario(workload.Figure12(opt))
 }
 
 // --- §8 overhead ---------------------------------------------------------------
@@ -752,39 +709,22 @@ func ChaosSoakConfig() chaos.Config {
 // fabric runs a fully verified bundle — which is then what the packet
 // simulation executes. Without Tagger the identical schedule runs bare,
 // reproducing the deadlock the deployment exists to prevent.
-func ChaosSoak(seed int64, withTagger bool) (ChaosSoakResult, error) {
-	return ChaosSoakWithTelemetry(seed, withTagger, nil)
-}
-
-// ChaosSoakWithTelemetry is ChaosSoak with operational metrics: when reg
-// is non-nil the packet simulation reports its PFC pause histograms and
-// deadlock gauges into it, the soak itself runs under a "soak" span, and
-// the controller's deployment counters/spans are merged in after
-// bring-up. A nil reg keeps the soak telemetry-free (and bit-identical
-// to previous behavior, which the determinism test pins).
-func ChaosSoakWithTelemetry(seed int64, withTagger bool, reg *telemetry.Registry) (ChaosSoakResult, error) {
-	return chaosSoak(seed, withTagger, reg, nil)
-}
-
-// ChaosSoakTraced is ChaosSoakWithTelemetry with the packet
-// simulation's event stream captured by tr (build one with NewTracer);
-// the caller owns flushing the capture after the soak returns. Tracing
-// implies a serial, per-seed run — the sweep fan-out stays untraced.
-func ChaosSoakTraced(seed int64, withTagger bool, reg *telemetry.Registry, tr sim.Tracer) (ChaosSoakResult, error) {
-	return chaosSoak(seed, withTagger, reg, tr)
-}
-
-func chaosSoak(seed int64, withTagger bool, reg *telemetry.Registry, tr sim.Tracer) (ChaosSoakResult, error) {
+//
+// obs.Telemetry receives the simulation's PFC pause histograms and
+// deadlock gauges, a "soak" span, and the controller's deployment
+// counters and spans after bring-up. obs.Tracer captures the packet
+// simulation's events; the caller flushes it after the soak returns.
+// The soak takes no flight recorder.
+func ChaosSoak(seed int64, withTagger bool, obs Observers) (ChaosSoakResult, error) {
+	if obs.FlightRec != nil {
+		return ChaosSoakResult{Seed: seed}, errors.New("tagger: the chaos soak takes no flight recorder")
+	}
+	reg := obs.Telemetry
 	defer reg.StartSpan("soak").End()
 	sched := chaos.Generate(ChaosSoakConfig(), seed)
 	s := workload.Chaos(workload.Options{}, sched)
 	res := ChaosSoakResult{Seed: seed, Faults: len(sched.Faults)}
-	if reg != nil {
-		s.Net.SetTelemetry(reg)
-	}
-	if tr != nil {
-		s.Net.SetTracer(tr)
-	}
+	attach(s.Net, obs)
 
 	if withTagger {
 		g := s.Clos.Graph
@@ -838,14 +778,18 @@ func chaosSoak(seed int64, withTagger bool, reg *telemetry.Registry, tr sim.Trac
 
 // ChaosSweep runs one independent chaos soak per seed, fanned across par
 // workers (par <= 0 means GOMAXPROCS), and returns the verdicts in seed
-// order. Each run owns its Network and — when reg is non-nil — a private
-// telemetry registry, merged into reg in seed order after every run
-// completes, so par=1 and par=N produce identical results and identical
-// aggregate telemetry (the -race determinism gate pins this).
-func ChaosSweep(seeds []int64, withTagger bool, par int, reg *telemetry.Registry) ([]ChaosSoakResult, error) {
-	return sweep.RunMerged(seeds, par, reg,
+// order. Each run owns its Network and — when obs.Telemetry is non-nil —
+// a private telemetry registry, merged into obs.Telemetry in seed order
+// after every run completes, so par=1 and par=N produce identical
+// results and identical aggregate telemetry (the -race determinism gate
+// pins this). A tracer is refused: trace each ChaosSoak on its own.
+func ChaosSweep(seeds []int64, withTagger bool, par int, obs Observers) ([]ChaosSoakResult, error) {
+	if obs.Tracer != nil {
+		return nil, errors.New("tagger: a chaos sweep takes no tracer; trace each ChaosSoak on its own")
+	}
+	return sweep.RunMerged(seeds, par, obs.Telemetry,
 		func(seed int64, runReg *telemetry.Registry) (ChaosSoakResult, error) {
-			return ChaosSoakWithTelemetry(seed, withTagger, runReg)
+			return ChaosSoak(seed, withTagger, Observers{Telemetry: runReg, FlightRec: obs.FlightRec})
 		})
 }
 
@@ -885,9 +829,9 @@ type ChurnSoakResult struct {
 	// controller's intent bundle after the full sequence.
 	Converged  bool
 	FinalRules int
-	// ValidationDeadlocked is set by ChurnSoakTraced: whether the
-	// post-churn validation run of the converged fabric deadlocked
-	// (it must not — the deployed rules exist to prevent exactly that).
+	// ValidationDeadlocked reports whether the post-churn validation run
+	// of the converged fabric deadlocked (it must not — the deployed
+	// rules exist to prevent exactly that).
 	ValidationDeadlocked bool
 }
 
@@ -920,50 +864,19 @@ func churnSwitchLinks(g *topology.Graph) [][2]string {
 // its rules behind the controller's back) and lets Reconcile repair it.
 // The sequence must end converged: fabric active state == intent bundle
 // on every switch.
-func ChurnSoak(seed int64, events int) (ChurnSoakResult, error) {
-	res, _, err := churnSoak(seed, events)
-	return res, err
-}
-
-// churnState is what a finished churn soak leaves behind for the traced
-// validation run: the (possibly expanded) topology, the fabric's agent
-// state and the controller holding the intent bundle.
-type churnState struct {
-	clos *topology.Clos
-	fab  *chaos.Fabric
-	ctl  *controller.Controller
-}
-
-// ChurnSoakTraced runs ChurnSoak and then validates the converged
-// fabric in the packet simulator under an event trace: the fabric's
+//
+// The churn pipeline itself is controller-only, so the soak ends with a
+// packet-level validation run of the converged fabric: the fabric's
 // ACTIVE bundle (not the controller's intent) is imported, routes are
-// recomputed over the post-churn topology, cross-pod flows run for a
-// few milliseconds and every pause/resume/demotion lands in tr. The
-// churn pipeline itself is controller-only; this is what makes
-// `taggersim -exp churn -trace` produce an analyzable capture.
-func ChurnSoakTraced(seed int64, events int, tr sim.Tracer) (ChurnSoakResult, error) {
-	res, st, err := churnSoak(seed, events)
-	if err != nil {
-		return res, err
-	}
-	g := st.clos.Graph
-	live := st.fab.ActiveBundle(st.ctl.Bundle().MaxTag)
-	rs, err := deploy.Import(g, live)
-	if err != nil {
-		return res, err
-	}
-	n := sim.New(g, routing.ComputeToHosts(g, routing.UpDown), sim.DefaultConfig())
-	n.InstallTagger(rs)
-	n.SetTracer(tr)
-	n.AddFlow(sim.FlowSpec{Name: "v1", Src: g.MustLookup("H5"), Dst: g.MustLookup("H1")})
-	n.AddFlow(sim.FlowSpec{Name: "v2", Src: g.MustLookup("H9"), Dst: g.MustLookup("H1")})
-	n.Run(5 * time.Millisecond)
-	res.ValidationDeadlocked = n.Deadlocked()
-	return res, nil
-}
-
-func churnSoak(seed int64, events int) (ChurnSoakResult, *churnState, error) {
+// recomputed over the post-churn topology and cross-pod flows run for a
+// few milliseconds. obs.Tracer captures that run's events, and
+// obs.Telemetry receives its PFC metrics plus the controller's deploy
+// counters and spans. The soak takes no flight recorder.
+func ChurnSoak(seed int64, events int, obs Observers) (ChurnSoakResult, error) {
 	res := ChurnSoakResult{Seed: seed}
+	if obs.FlightRec != nil {
+		return res, errors.New("tagger: the churn soak takes no flight recorder")
+	}
 	c := paper.Testbed()
 	g := c.Graph
 	names := func() []string {
@@ -984,7 +897,7 @@ func churnSoak(seed int64, events int) (ChurnSoakResult, *churnState, error) {
 			JitterSeed:  seed,
 		}))
 	if err != nil {
-		return res, nil, err
+		return res, err
 	}
 
 	seq := chaos.GenerateChurn(chaos.ChurnConfig{
@@ -1011,16 +924,16 @@ func churnSoak(seed int64, events int) (ChurnSoakResult, *churnState, error) {
 				A: g.MustLookup(ev.Switch)}
 		case chaos.ChurnPodAdd:
 			if err := c.Expand(1); err != nil {
-				return res, nil, fmt.Errorf("tagger: churn event %d: %w", i, err)
+				return res, fmt.Errorf("tagger: churn event %d: %w", i, err)
 			}
 			fab.Add(names()...)
 			res.PodsAdded++
 			cev = controller.Event{Kind: controller.EventExpansion}
 		default:
-			return res, nil, fmt.Errorf("tagger: unknown churn kind %v", ev.Kind)
+			return res, fmt.Errorf("tagger: unknown churn kind %v", ev.Kind)
 		}
 		if err := ctl.HandleChurn(cev); err != nil {
-			return res, nil, fmt.Errorf("tagger: churn event %d (%s): %w", i, ev, err)
+			return res, fmt.Errorf("tagger: churn event %d (%s): %w", i, ev, err)
 		}
 		log := ctl.DeltaLog()
 		res.Events = append(res.Events, ChurnEventResult{
@@ -1035,16 +948,32 @@ func churnSoak(seed int64, events int) (ChurnSoakResult, *churnState, error) {
 			fab.Reboot(res.Rebooted)
 			fixed, err := ctl.Reconcile()
 			if err != nil {
-				return res, nil, fmt.Errorf("tagger: reconcile after reboot: %w", err)
+				return res, fmt.Errorf("tagger: reconcile after reboot: %w", err)
 			}
 			res.ReconcileFixed = fixed
 		}
 	}
 
 	intent := ctl.Bundle()
-	res.Converged = len(deploy.Diff(fab.ActiveBundle(intent.MaxTag), intent)) == 0
+	live := fab.ActiveBundle(intent.MaxTag)
+	res.Converged = len(deploy.Diff(live, intent)) == 0
 	for _, sb := range intent.Switches {
 		res.FinalRules += len(sb.Rules)
 	}
-	return res, &churnState{clos: c, fab: fab, ctl: ctl}, nil
+	if obs.Telemetry != nil {
+		obs.Telemetry.Merge(ctl.Telemetry().Snapshot())
+	}
+
+	rs, err := deploy.Import(g, live)
+	if err != nil {
+		return res, err
+	}
+	n := sim.New(g, routing.ComputeToHosts(g, routing.UpDown), sim.DefaultConfig())
+	n.InstallTagger(rs)
+	attach(n, obs)
+	n.AddFlow(sim.FlowSpec{Name: "v1", Src: g.MustLookup("H5"), Dst: g.MustLookup("H1")})
+	n.AddFlow(sim.FlowSpec{Name: "v2", Src: g.MustLookup("H9"), Dst: g.MustLookup("H1")})
+	n.Run(5 * time.Millisecond)
+	res.ValidationDeadlocked = n.Deadlocked()
+	return res, nil
 }

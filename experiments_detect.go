@@ -1,6 +1,7 @@
 package tagger
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -67,7 +68,7 @@ type DetectRunResult struct {
 	Watchdog sim.WatchdogStats
 
 	// Incidents holds the flight-recorder captures for this cell
-	// (DetectRunFlightRec / DetectMatrixFlightRec only; nil otherwise).
+	// (only when Observers.FlightRec is set; nil otherwise).
 	// Each is a self-contained binary trace for `taggertrace
 	// postmortem`, deterministic per (seed, arm), so the sweep stays
 	// par-independent. FlightRecDropped and FlightRecOverwrites are the
@@ -83,28 +84,16 @@ func (r DetectRunResult) Recovered() bool { return r.Onsets > 0 && r.Recoveries 
 
 // DetectRun executes one cell of the matrix: the seeded DetectMatrix
 // scenario (Figure 3 CBD pair with jittered starts, background cross
-// traffic, off-path T2 reboots) under the given arm's protection. When
-// reg is non-nil the cell reports arm-qualified counters into it
-// ("detect.matrix.*" with an arm label), commutative under merge so the
-// sweep aggregate is par-independent.
-func DetectRun(seed int64, arm DetectArm, reg *telemetry.Registry) (DetectRunResult, error) {
-	return detectRun(seed, arm, reg, nil)
-}
-
-// DetectRunFlightRec is DetectRun with the flight recorder armed: any
-// deadlock onset, detector firing (or false positive) or invariant
-// violation freezes the ring and files an incident into the result's
-// Incidents.
-func DetectRunFlightRec(seed int64, arm DetectArm, reg *telemetry.Registry, cfg sim.FlightRecConfig) (DetectRunResult, error) {
-	return detectRun(seed, arm, reg, &cfg)
-}
-
-func detectRun(seed int64, arm DetectArm, reg *telemetry.Registry, frCfg *sim.FlightRecConfig) (DetectRunResult, error) {
-	opt := workload.Options{}
-	if arm == ArmTagger {
-		opt.Bounces = 1
-	}
-	s := workload.DetectMatrix(opt, seed)
+// traffic, off-path T2 reboots) under the given arm's protection.
+//
+// obs.Telemetry receives only arm-qualified counters ("detect.matrix.*"
+// with an arm label), commutative under merge so the sweep aggregate is
+// par-independent; the simulator's own telemetry stays off. With a
+// flight recorder armed, any deadlock onset, detector firing (or false
+// positive) or invariant violation freezes the ring and files an
+// incident into the result's Incidents.
+func DetectRun(seed int64, arm DetectArm, obs Observers) (DetectRunResult, error) {
+	s := workload.DetectMatrix(taggerOptions(arm == ArmTagger), seed)
 	res := DetectRunResult{Seed: seed, Arm: arm, FirstOnset: -1}
 
 	var det *sim.DetectorStats
@@ -123,10 +112,9 @@ func detectRun(seed int64, arm DetectArm, reg *telemetry.Registry, frCfg *sim.Fl
 	default:
 		return res, fmt.Errorf("detect: unknown arm %q", arm)
 	}
-	var fr *sim.FlightRecorder
-	if frCfg != nil {
-		fr = s.Net.EnableFlightRecorder(*frCfg)
-	}
+	// Telemetry is withheld from the Network: detect reports only its
+	// own counters below.
+	fr := attach(s.Net, Observers{Tracer: obs.Tracer, FlightRec: obs.FlightRec})
 	track := s.Net.TrackDeadlocks()
 	wd := s.Net.StartWatchdog(500 * time.Microsecond)
 
@@ -160,7 +148,7 @@ func detectRun(seed int64, arm DetectArm, reg *telemetry.Registry, frCfg *sim.Fl
 		}
 	}
 
-	if reg != nil {
+	if reg := obs.Telemetry; reg != nil {
 		a := string(arm)
 		reg.Counter("detect.matrix.seeds", "arm", a).Inc()
 		reg.Counter("detect.matrix.onsets", "arm", a).Add(int64(res.Onsets))
@@ -177,26 +165,20 @@ func detectRun(seed int64, arm DetectArm, reg *telemetry.Registry, frCfg *sim.Fl
 // DetectMatrix fans the four-arm experiment across par workers: every
 // arm runs every seed independently (its own Network, its own scenario
 // build), results return in (arm, seed) order, and — via
-// sweep.RunMerged — per-run telemetry merges into reg deterministically.
-func DetectMatrix(seeds []int64, par int, reg *telemetry.Registry) (map[DetectArm][]DetectRunResult, error) {
-	return detectMatrix(seeds, par, reg, nil)
-}
-
-// DetectMatrixFlightRec is DetectMatrix with the flight recorder armed
-// in every cell; each result carries its incidents. Captures are
-// deterministic per (seed, arm), so the matrix — incident bytes
-// included — is identical at par=1 and par=N.
-func DetectMatrixFlightRec(seeds []int64, par int, reg *telemetry.Registry, cfg sim.FlightRecConfig) (map[DetectArm][]DetectRunResult, error) {
-	return detectMatrix(seeds, par, reg, &cfg)
-}
-
-func detectMatrix(seeds []int64, par int, reg *telemetry.Registry, frCfg *sim.FlightRecConfig) (map[DetectArm][]DetectRunResult, error) {
+// sweep.RunMerged — per-run telemetry merges into obs.Telemetry
+// deterministically. With a flight recorder armed every cell carries
+// its incidents; captures are deterministic per (seed, arm), so the
+// matrix — incident bytes included — is identical at par=1 and par=N.
+// A tracer is refused: trace one DetectRun instead.
+func DetectMatrix(seeds []int64, par int, obs Observers) (map[DetectArm][]DetectRunResult, error) {
+	if obs.Tracer != nil {
+		return nil, errors.New("detect: the matrix takes no tracer; trace one DetectRun instead")
+	}
 	out := make(map[DetectArm][]DetectRunResult, 4)
 	for _, arm := range DetectArms() {
-		arm := arm
-		results, err := sweep.RunMerged(seeds, par, reg,
+		results, err := sweep.RunMerged(seeds, par, obs.Telemetry,
 			func(seed int64, runReg *telemetry.Registry) (DetectRunResult, error) {
-				return detectRun(seed, arm, runReg, frCfg)
+				return DetectRun(seed, arm, Observers{Telemetry: runReg, FlightRec: obs.FlightRec})
 			})
 		if err != nil {
 			return out, fmt.Errorf("detect: arm %s: %w", arm, err)

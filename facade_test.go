@@ -1,16 +1,83 @@
 package tagger
 
 import (
+	"io"
 	"strings"
 	"testing"
+
+	"repro/internal/sim"
 )
 
+// mustFigure runs one bare figure experiment, failing tb on error.
+func mustFigure(tb testing.TB, name string, withTagger bool) ExperimentResult {
+	tb.Helper()
+	res, err := Figure(name, withTagger, Observers{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res
+}
+
+// TestFigureObservers: a figure run reports its flight-recorder
+// captures in the result, a tracer chained under the recorder still
+// sees the event stream, and observing never changes the outcome.
+func TestFigureObservers(t *testing.T) {
+	bare := mustFigure(t, "fig10", false)
+	tr := &countTracer{}
+	obs, err := Figure("fig10", false, Observers{Tracer: tr, FlightRec: &FlightRecConfig{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(obs.Incidents) == 0 {
+		t.Fatal("fig10 without Tagger deadlocks, but the flight recorder captured nothing")
+	}
+	if tr.events == 0 {
+		t.Error("tracer chained under the flight recorder saw no events")
+	}
+	if obs.Deadlocked != bare.Deadlocked || obs.Drops != bare.Drops {
+		t.Errorf("observed run diverges from bare: %+v vs %+v", obs.Drops, bare.Drops)
+	}
+	if _, err := Figure("fig13", false, Observers{}); err == nil {
+		t.Error("unknown figure accepted")
+	}
+}
+
+type countTracer struct{ events int }
+
+func (c *countTracer) Trace(sim.TraceEvent) { c.events++ }
+
+// TestObserverRefusals: the fan-out drivers refuse a tracer (one
+// ordered stream cannot span parallel runs) and the soaks refuse a
+// flight recorder, instead of running with the observer ignored.
+func TestObserverRefusals(t *testing.T) {
+	tr, _, err := NewTracer(io.Discard, TraceJSONL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ChaosSweep([]int64{1}, true, 1, Observers{Tracer: tr}); err == nil {
+		t.Error("ChaosSweep accepted a tracer")
+	}
+	if _, err := DetectMatrix([]int64{1}, 1, Observers{Tracer: tr}); err == nil {
+		t.Error("DetectMatrix accepted a tracer")
+	}
+	fr := Observers{FlightRec: &FlightRecConfig{}}
+	if _, err := ChaosSoak(1, true, fr); err == nil {
+		t.Error("ChaosSoak accepted a flight recorder")
+	}
+	if _, err := ChurnSoak(1, 4, fr); err == nil {
+		t.Error("ChurnSoak accepted a flight recorder")
+	}
+	if _, _, err := NewTracer(io.Discard, "xml"); err == nil {
+		t.Error("NewTracer accepted an unknown format")
+	}
+}
+
 func TestFigure11Experiment(t *testing.T) {
-	without := Figure11(false)
+	without := mustFigure(t, "fig11", false)
 	if !without.Deadlocked {
 		t.Error("fig11 baseline should deadlock")
 	}
-	with := Figure11(true)
+	with := mustFigure(t, "fig11", true)
 	if with.Deadlocked {
 		t.Error("fig11 with Tagger deadlocked")
 	}
@@ -28,7 +95,7 @@ func TestFigure11Experiment(t *testing.T) {
 }
 
 func TestFigure12Experiment(t *testing.T) {
-	without := Figure12(false)
+	without := mustFigure(t, "fig12", false)
 	if !without.Deadlocked {
 		t.Error("fig12 baseline should deadlock")
 	}
@@ -41,7 +108,7 @@ func TestFigure12Experiment(t *testing.T) {
 	if stuck != len(without.Flows) {
 		t.Errorf("PAUSE propagation froze %d/%d flows", stuck, len(without.Flows))
 	}
-	with := Figure12(true)
+	with := mustFigure(t, "fig12", true)
 	if with.Deadlocked {
 		t.Error("fig12 with Tagger deadlocked")
 	}

@@ -101,34 +101,3 @@ func TestMeanStd(t *testing.T) {
 		t.Errorf("mean=%v std=%v, want 2,1", m, s)
 	}
 }
-
-// TestCountersConcurrent hammers one Counters set from many goroutines;
-// run under -race it pins the internal-mutex fix (Counters used to be
-// documented unsafe and raced when the controller and a reader shared
-// one).
-func TestCountersConcurrent(t *testing.T) {
-	c := NewCounters()
-	const workers, iters = 8, 500
-	done := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < iters; i++ {
-				c.Add("shared", 1)
-				c.Add("solo", int64(w))
-				_ = c.Get("shared")
-				if i%100 == 0 {
-					_ = c.Snapshot()
-					_ = c.Names()
-					_ = c.String()
-				}
-			}
-		}(w)
-	}
-	for w := 0; w < workers; w++ {
-		<-done
-	}
-	if got := c.Get("shared"); got != workers*iters {
-		t.Fatalf("shared = %d, want %d", got, workers*iters)
-	}
-}

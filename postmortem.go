@@ -11,7 +11,8 @@ import (
 )
 
 // Flight-recorder surface: the simulator's always-on incident capture
-// (sim.FlightRecorder) and the forensics that read it back.
+// (armed through Observers.FlightRec) and the forensics that read it
+// back.
 type (
 	// FlightRecConfig tunes the flight recorder (ring size, event
 	// window, per-incident cooldown, capture cap, delivery sink).
@@ -19,9 +20,6 @@ type (
 	// Incident is one frozen capture: trigger, site, simulated time,
 	// and a self-contained binary trace (events + snapshot).
 	Incident = sim.Incident
-	// FlightRecorder is the armed recorder riding a Network's tracer
-	// chain.
-	FlightRecorder = sim.FlightRecorder
 )
 
 // PostmortemReport runs the forensics pipeline over one incident

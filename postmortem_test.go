@@ -17,9 +17,9 @@ import (
 // sinking into a PostmortemStore, served at /debug/postmortem.
 func TestPostmortemStoreEndToEnd(t *testing.T) {
 	store := &PostmortemStore{}
-	res, err := DetectRunFlightRec(1, ArmDetect, nil, FlightRecConfig{Sink: store.Sink()})
+	res, err := DetectRun(1, ArmDetect, Observers{FlightRec: &FlightRecConfig{Sink: store.Sink()}})
 	if err != nil {
-		t.Fatalf("DetectRunFlightRec: %v", err)
+		t.Fatalf("DetectRun: %v", err)
 	}
 	if len(res.Incidents) == 0 {
 		t.Fatal("detect arm captured no incidents; the CBD workload should deadlock")

@@ -87,11 +87,11 @@ func TestTable5SmallCase(t *testing.T) {
 }
 
 func TestFigure10Experiment(t *testing.T) {
-	without := Figure10(false)
+	without := mustFigure(t, "fig10", false)
 	if !without.Deadlocked {
 		t.Error("fig10 without Tagger should deadlock")
 	}
-	with := Figure10(true)
+	with := mustFigure(t, "fig10", true)
 	if with.Deadlocked {
 		t.Error("fig10 with Tagger deadlocked")
 	}
