@@ -10,7 +10,7 @@ BENCH_OUT ?= BENCH_$(shell date +%F).json
 # benchmarks and fails on a >15% time regression against that snapshot.
 BENCH_BASELINE ?=
 
-.PHONY: all check build vet test determinism race detect-smoke bench bench-sim benchdiff benchgate telemetry-overhead trace-golden postmortem-golden taggersim-golden fuzz fuzz-smoke churn-fuzz cache-fuzz cover examples experiments clean
+.PHONY: all check build vet test determinism race detect-smoke bench bench-sim benchdiff benchgate telemetry-overhead engine-golden trace-golden postmortem-golden taggersim-golden fuzz fuzz-smoke churn-fuzz cache-fuzz cover examples experiments clean
 
 all: check
 
@@ -44,9 +44,11 @@ race:
 # The detect-vs-prevent matrix smoke under the race detector: the
 # four-arm invariants (tagger prevents + detector stays quiet, detect
 # and scan arms recover within bound, the control starves) on a small
-# seed set. Part of `make check`.
+# seed set, plus the ledger-vs-scan differential (the deadlock-episode
+# ledger agrees with a from-scratch wait-for scan every 1µs over the
+# figures, the four arms and a mid-deadlock reboot). Part of `make check`.
 detect-smoke:
-	$(GO) test -race -count=1 -run 'TestDetectMatrixSmoke' .
+	$(GO) test -race -count=1 -run 'TestDetectMatrixSmoke|TestEpisodeLedgerMatchesScan' .
 
 # Runs every benchmark and records the results as a JSON snapshot
 # (BENCH_<date>.json) for the repo's performance trajectory. Override
@@ -87,6 +89,19 @@ telemetry-overhead:
 	$(GO) run ./cmd/benchdiff -record /tmp/telemetry_off.json /tmp/telemetry_off.txt
 	$(GO) run ./cmd/benchdiff -record /tmp/telemetry_on.json /tmp/telemetry_on.txt
 	$(GO) run ./cmd/benchdiff -threshold 0.05 /tmp/telemetry_off.json /tmp/telemetry_on.json
+
+# Verifies the engine-equivalence golden: every pinned scenario's event
+# trace hash and PFC/drop counters, and the seeded chaos soaks' watchdog
+# verdicts, must match testdata/engine_golden.json. `make test` already
+# runs it; this target runs it alone. After an INTENTIONAL change to the
+# simulator's observable events, regenerate with
+# `make engine-golden UPDATE=1` and review the diff.
+engine-golden:
+ifeq ($(strip $(UPDATE)),)
+	$(GO) test -count=1 -run TestEngineGolden .
+else
+	$(GO) test -count=1 -run TestEngineGolden . -update-engine-golden
+endif
 
 # Verifies the taggertrace golden fixtures: the checked-in fig10 trace
 # captures (JSONL + binary) must render byte-identical reports, and the

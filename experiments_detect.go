@@ -82,6 +82,27 @@ type DetectRunResult struct {
 // deadlock episodes (at least one onset and at least one recovery).
 func (r DetectRunResult) Recovered() bool { return r.Onsets > 0 && r.Recoveries > 0 }
 
+// detectScenario builds the seeded DetectMatrix scenario with arm's own
+// protection installed: the detector (tagger and detect arms) or the
+// recovery scan (scan arm). No observers are attached.
+func detectScenario(seed int64, arm DetectArm) (*workload.Scenario, *sim.DetectorStats, *sim.RecoveryStats, error) {
+	s := workload.DetectMatrix(taggerOptions(arm == ArmTagger), seed)
+	switch arm {
+	case ArmTagger:
+		// The detector rides along with mitigation off: on a protected
+		// topology it must never fire, which makes every Tagger-arm run a
+		// false-positive oracle.
+		return s, s.Net.EnableDetector(sim.DetectorConfig{Mitigation: sim.MitigateNone}), nil, nil
+	case ArmDetect:
+		return s, s.Net.EnableDetector(sim.DetectorConfig{Mitigation: sim.MitigateDrop}), nil, nil
+	case ArmScan:
+		return s, nil, s.Net.EnableRecovery(500 * time.Microsecond), nil
+	case ArmNone:
+		return s, nil, nil, nil
+	}
+	return nil, nil, nil, fmt.Errorf("detect: unknown arm %q", arm)
+}
+
 // DetectRun executes one cell of the matrix: the seeded DetectMatrix
 // scenario (Figure 3 CBD pair with jittered starts, background cross
 // traffic, off-path T2 reboots) under the given arm's protection.
@@ -93,24 +114,10 @@ func (r DetectRunResult) Recovered() bool { return r.Onsets > 0 && r.Recoveries 
 // positive) or invariant violation freezes the ring and files an
 // incident into the result's Incidents.
 func DetectRun(seed int64, arm DetectArm, obs Observers) (DetectRunResult, error) {
-	s := workload.DetectMatrix(taggerOptions(arm == ArmTagger), seed)
 	res := DetectRunResult{Seed: seed, Arm: arm, FirstOnset: -1}
-
-	var det *sim.DetectorStats
-	var scan *sim.RecoveryStats
-	switch arm {
-	case ArmTagger:
-		// The detector rides along with mitigation off: on a protected
-		// topology it must never fire, which makes every Tagger-arm run a
-		// false-positive oracle.
-		det = s.Net.EnableDetector(sim.DetectorConfig{Mitigation: sim.MitigateNone})
-	case ArmDetect:
-		det = s.Net.EnableDetector(sim.DetectorConfig{Mitigation: sim.MitigateDrop})
-	case ArmScan:
-		scan = s.Net.EnableRecovery(500 * time.Microsecond)
-	case ArmNone:
-	default:
-		return res, fmt.Errorf("detect: unknown arm %q", arm)
+	s, det, scan, err := detectScenario(seed, arm)
+	if err != nil {
+		return res, err
 	}
 	// Telemetry is withheld from the Network: detect reports only its
 	// own counters below.

@@ -47,14 +47,14 @@ type DetectorStats struct {
 	Detections int
 	ViaPacket  int
 	ViaPause   int
-	// FalsePositives counts detections fired while the global wait-for
-	// scan saw no cycle — the oracle the detect-vs-prevent matrix tracks.
+	// FalsePositives counts detections fired with no deadlock episode
+	// open — the oracle the detect-vs-prevent matrix tracks.
 	FalsePositives int
 	// FirstDetectAt is the sim time of the first detection (-1 if none).
 	FirstDetectAt time.Duration
 	// TTDSamples/SumTTD/MaxTTD aggregate time-to-detect: detection time
-	// minus the onset time of the open deadlock episode (requires
-	// TrackDeadlocks; only the first detection per episode samples).
+	// minus the onset time of the open deadlock episode (only the first
+	// detection per episode samples).
 	TTDSamples int
 	SumTTD     time.Duration
 	MaxTTD     time.Duration
@@ -87,8 +87,8 @@ type detState struct {
 
 // EnableDetector arms the DCFIT-style in-switch detector on every
 // switch. Must be called before Run. Returns the stats structure,
-// updated in place. Pair with TrackDeadlocks for time-to-detect and
-// time-to-recover accounting.
+// updated in place. It arms the episode ledger (TrackDeadlocks), which
+// it reads for time-to-detect and the false-positive oracle.
 func (n *Network) EnableDetector(cfg DetectorConfig) *DetectorStats {
 	if cfg.RefreshInterval <= 0 {
 		cfg.RefreshInterval = 100 * time.Microsecond
@@ -112,85 +112,6 @@ func (n *Network) DetectorStats() *DetectorStats {
 	}
 	n.det.stats.Engine = n.det.eng.Stats()
 	return n.det.stats
-}
-
-// --- Deadlock episode tracking ---------------------------------------------
-
-// DeadlockTrack measures deadlock episodes exactly: onset when a
-// wait-for cycle first appears (checked at every PFC pause effect) and
-// recovery when it disappears (checked at resume effects and directly
-// after every cycle-breaking intervention). It powers the matrix's
-// time-to-recover and "unrecovered" verdicts; arms Onsets even with no
-// detector or recovery monitor installed.
-type DeadlockTrack struct {
-	// Onsets counts distinct deadlock episodes.
-	Onsets int
-	// FirstOnsetAt is the sim time of the first onset (-1 if never).
-	FirstOnsetAt time.Duration
-	// Recoveries counts episodes that cleared; SumTTR/MaxTTR aggregate
-	// their onset-to-clear latency.
-	Recoveries int
-	SumTTR     time.Duration
-	MaxTTR     time.Duration
-
-	open     bool
-	onsetAt  int64
-	detected bool
-}
-
-// Open reports whether a deadlock episode is live (an episode still
-// open at the end of the run never recovered).
-func (d *DeadlockTrack) Open() bool { return d.open }
-
-// MeanTTR returns the mean time-to-recover over closed episodes.
-func (d *DeadlockTrack) MeanTTR() time.Duration {
-	if d.Recoveries == 0 {
-		return 0
-	}
-	return d.SumTTR / time.Duration(d.Recoveries)
-}
-
-// TrackDeadlocks arms exact deadlock episode tracking. Must be called
-// before Run. Returns the track, updated in place.
-func (n *Network) TrackDeadlocks() *DeadlockTrack {
-	n.dlTrack = &DeadlockTrack{FirstOnsetAt: -1}
-	return n.dlTrack
-}
-
-// dlOnsetCheck opens an episode if a wait-for cycle now exists. Called
-// at pause effects — the only transitions that can create a cycle.
-func (n *Network) dlOnsetCheck() {
-	d := n.dlTrack
-	if d == nil || d.open || n.detectCycleQueues() == nil {
-		return
-	}
-	d.open = true
-	d.detected = false
-	d.onsetAt = n.now
-	d.Onsets++
-	if d.FirstOnsetAt < 0 {
-		d.FirstOnsetAt = time.Duration(n.now)
-	}
-}
-
-// dlClearCheck closes the open episode if no cycle remains. Called at
-// resume effects and after queue flushes / mitigation sweeps.
-func (n *Network) dlClearCheck() {
-	d := n.dlTrack
-	if d == nil || !d.open || n.detectCycleQueues() != nil {
-		return
-	}
-	d.open = false
-	ttr := time.Duration(n.now - d.onsetAt)
-	d.Recoveries++
-	d.SumTTR += ttr
-	if ttr > d.MaxTTR {
-		d.MaxTTR = ttr
-	}
-	if n.tel != nil {
-		n.tel.Histogram("sim_time_to_recover_seconds", telemetry.DurationBuckets()).
-			ObserveDuration(int64(ttr))
-	}
 }
 
 // --- Event-loop hooks -------------------------------------------------------
@@ -243,7 +164,7 @@ func (n *Network) detPauseTag(rt *nodeRT, port, prio int, on bool) int32 {
 // from that same instant), and the clear check follows the resume.
 func (n *Network) detPFCEffect(nodeIdx int, rt *nodeRT, port, prio int, on bool, arg int32) {
 	if on {
-		n.dlOnsetCheck()
+		n.dlOnsetCheck(nodeIdx)
 		if arg != 0 {
 			tg := detect.Tag(n.takeDTag(arg))
 			if n.det != nil && !rt.isHost {
@@ -338,13 +259,13 @@ func (n *Network) detHandle(d detect.Detection) {
 	if st.FirstDetectAt < 0 {
 		st.FirstDetectAt = time.Duration(n.now)
 	}
-	real := n.detectCycleQueues() != nil
+	real := n.dl.open
 	if !real {
 		st.FalsePositives++
 	}
-	if n.dlTrack != nil && n.dlTrack.open && !n.dlTrack.detected {
-		n.dlTrack.detected = true
-		ttd := time.Duration(n.now - n.dlTrack.onsetAt)
+	if real && !n.dl.detected {
+		n.dl.detected = true
+		ttd := time.Duration(n.now - n.dl.onsetAt)
 		st.TTDSamples++
 		st.SumTTD += ttd
 		if ttd > st.MaxTTD {

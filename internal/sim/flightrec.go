@@ -12,15 +12,15 @@ import (
 
 // Flight-recorder trigger names, written into each incident's snapshot.
 const (
-	// TriggerDeadlockOnset: the lazy global watchdog (pause-emission
-	// piggyback) saw a wait-for cycle appear.
+	// TriggerDeadlockOnset: the deadlock-episode ledger opened an
+	// episode (the pause effect that closed a wait-for cycle).
 	TriggerDeadlockOnset = "deadlock-onset"
-	// TriggerDetectorFire: the in-switch detector fired and the global
-	// view confirms a live cycle.
+	// TriggerDetectorFire: the in-switch detector fired while the
+	// ledger holds an open episode.
 	TriggerDetectorFire = "detector-fire"
-	// TriggerFPOracle: the in-switch detector fired while the global
-	// view saw no cycle — a false positive, captured with full state so
-	// the discrepancy can be diagnosed post-mortem.
+	// TriggerFPOracle: the in-switch detector fired while the ledger
+	// held no open episode — a false positive, captured with full state
+	// so the discrepancy can be diagnosed post-mortem.
 	TriggerFPOracle = "fp-oracle-discrepancy"
 	// TriggerInvariant: a lossless packet dropped above Xoff+headroom —
 	// the lossless invariant the chaos soaks gate on was violated.
@@ -86,9 +86,8 @@ type FlightRecorder struct {
 }
 
 // EnableFlightRecorder arms incident capture, wrapping any tracer
-// already installed (install tracers first). Arming it also arms
-// deadlock-onset detection on pause emission, exactly as attaching any
-// tracer does.
+// already installed (install tracers first). Like any tracer, it arms
+// the deadlock-episode ledger, whose onsets are its deadlock-onset trigger.
 func (n *Network) EnableFlightRecorder(cfg FlightRecConfig) *FlightRecorder {
 	if cfg.Cooldown <= 0 {
 		cfg.Cooldown = time.Millisecond
@@ -190,9 +189,7 @@ func (fr *FlightRecorder) trigger(ev *TraceEvent) string {
 	case "deadlock":
 		return TriggerDeadlockOnset
 	case "detect":
-		// detHandle's oracle recomputed here keeps the recorder
-		// independent of whether stats collection ran first.
-		if fr.n.detectCycleQueues() == nil {
+		if !fr.n.dl.open {
 			return TriggerFPOracle
 		}
 		return TriggerDetectorFire

@@ -183,8 +183,7 @@ type Network struct {
 
 	// tracer, when non-nil, observes pauses, drops, demotions and
 	// deadlock onsets (see trace.go).
-	tracer     Tracer
-	inDeadlock bool
+	tracer Tracer
 
 	// flightrec, when non-nil, is the armed incident flight recorder
 	// (EnableFlightRecorder, see flightrec.go); it also rides the tracer
@@ -203,9 +202,10 @@ type Network struct {
 	dtags    []uint64
 	dtagFree []int32
 
-	// dlTrack, when non-nil, measures exact deadlock episodes
-	// (TrackDeadlocks): onset/clear at PFC effects and interventions.
-	dlTrack *DeadlockTrack
+	// dl is the deadlock-episode ledger, kept whenever ledgerArmed (see
+	// deadlock.go); dlTracked records that TrackDeadlocks armed it.
+	dl        DeadlockTrack
+	dlTracked bool
 }
 
 // New builds a simulator over the topology and forwarding tables. The
@@ -213,6 +213,7 @@ type Network struct {
 // entries mid-run via At callbacks.
 func New(g *topology.Graph, tables *routing.Tables, cfg Config) *Network {
 	n := &Network{g: g, tables: tables, cfg: cfg}
+	n.dl.FirstOnsetAt = -1
 	nPrio := cfg.MaxPriority + 1
 	n.nodes = make([]nodeRT, g.NumNodes())
 	for i := range n.nodes {
@@ -256,9 +257,11 @@ func (n *Network) SetLegacyEgress(v bool) { n.legacyEgress = v }
 //	                                                  occupancy at PFC transitions
 //	sim_deadlock_onsets_total                         counter
 //	sim_time_to_deadlock_seconds                      gauge, first onset this run
+//	sim_time_to_recover_seconds                       histogram, per cleared episode
 //
-// Enabling telemetry also arms deadlock-onset detection on pause
-// emission (normally armed only when a tracer is attached).
+// The last three come from the deadlock-episode ledger, which
+// enabling telemetry arms (see TrackDeadlocks): an onset is the pause
+// effect that closes a wait-for cycle.
 func (n *Network) SetTelemetry(reg *telemetry.Registry) { n.tel = reg }
 
 // Graph returns the topology.
@@ -604,25 +607,6 @@ func (n *Network) sendPFC(rt *nodeRT, port, prio int, on bool) {
 			Peer: n.nodeName(rt.ports[port].peer), Prio: prio,
 			Depth: rt.ports[port].inBytes[prio]})
 	}
-	// Deadlock onset detection, piggybacked on pause emission to stay off
-	// the fast path when neither tracing nor telemetry is attached.
-	if on && (n.tracer != nil || n.tel != nil) {
-		if cyc := n.DetectDeadlock(); cyc != nil {
-			if !n.inDeadlock {
-				n.inDeadlock = true
-				n.trace(TraceEvent{Kind: "deadlock", Node: n.nodeName(rt.id), Cycle: cyc})
-				if n.tel != nil {
-					n.tel.Counter("sim_deadlock_onsets_total").Inc()
-					g := n.tel.Gauge("sim_time_to_deadlock_seconds")
-					if g.Value() == 0 {
-						g.Set(time.Duration(n.now).Seconds())
-					}
-				}
-			}
-		} else {
-			n.inDeadlock = false
-		}
-	}
 	prt := &rt.ports[port]
 	n.schedule(event{
 		at:   n.now + int64(n.cfg.PropDelay),
@@ -656,7 +640,7 @@ func (n *Network) pfcEffect(nodeIdx, port, prio int, on bool, arg int32) {
 	rt := &n.nodes[nodeIdx]
 	prt := &rt.ports[port]
 	prt.egressPaused[prio] = on
-	if n.det != nil || n.dlTrack != nil {
+	if n.ledgerArmed() {
 		n.detPFCEffect(nodeIdx, rt, port, prio, on, arg)
 	}
 	if !on {
@@ -731,6 +715,9 @@ func (n *Network) RebootSwitch(id topology.NodeID) int64 {
 			rt.bufferUsed += int64(prt.txPkt.size)
 		}
 	}
+	// The emptied queues may have broken the cycle outright; the RESUMEs
+	// sent above land only after the propagation delay.
+	n.dlClearCheck()
 	return lost
 }
 

@@ -168,8 +168,8 @@ func (t *CountingTracer) Trace(ev TraceEvent) {
 
 // SetTracer installs an event tracer (nil disables). The tracer sees
 // PFC pause/resume emissions, every packet drop with its cause, lossless
-// to lossy demotions, and deadlock onsets (the first detection after any
-// deadlock-free period, checked lazily at pause emissions to stay cheap).
+// to lossy demotions, and deadlock onsets (the deadlock-episode ledger's
+// openings, which attaching a tracer arms; see TrackDeadlocks).
 func (n *Network) SetTracer(tr Tracer) { n.tracer = tr }
 
 func (n *Network) trace(ev TraceEvent) {
