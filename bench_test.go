@@ -495,7 +495,7 @@ func BenchmarkTraceCapture(b *testing.B) {
 			b.Fatal(err)
 		}
 		defer f.Close()
-		tr := &sim.JSONLTracer{W: f}
+		tr := &trace.JSONLWriter{W: f}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -563,7 +563,7 @@ func TestTraceCaptureSpeedup(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer f.Close()
-		tr := &sim.JSONLTracer{W: f}
+		tr := &trace.JSONLWriter{W: f}
 		start := time.Now()
 		for i := 0; i < n; i++ {
 			tr.Trace(traceCaptureEvents[i%len(traceCaptureEvents)])

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/sim"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -110,7 +111,7 @@ func goldenScenarios() map[string]func() *workload.Scenario {
 func runGoldenScenario(build func() *workload.Scenario) scenarioGolden {
 	s := build()
 	w := newHashWriter()
-	s.Net.SetTracer(&sim.JSONLTracer{W: w})
+	s.Net.SetTracer(&trace.JSONLWriter{W: w})
 	s.Run()
 	return scenarioGolden{
 		TraceHash:    fmt.Sprintf("%016x", w.sum()),

@@ -352,7 +352,7 @@ const (
 func NewTracer(w io.Writer, format string) (sim.Tracer, func() (dropped int64, err error), error) {
 	switch format {
 	case "", TraceJSONL:
-		tr := &sim.JSONLTracer{W: w}
+		tr := &trace.JSONLWriter{W: w}
 		return tr, func() (int64, error) {
 			if tr.Err != nil {
 				return tr.Dropped, fmt.Errorf("tagger: trace write: %w (%d events dropped)", tr.Err, tr.Dropped)

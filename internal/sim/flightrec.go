@@ -124,62 +124,18 @@ func (fr *FlightRecorder) Overwrites() int64 { return fr.rec.Overwrites() }
 // SinkErr returns the first error the configured Sink reported.
 func (fr *FlightRecorder) SinkErr() error { return fr.sinkErr }
 
-// Trace implements Tracer: record into the ring, feed the inner tracer,
-// then classify for a trigger. The trigger event itself is recorded
-// first, so it is the last entry of the incident's event window.
+// Trace implements Tracer: record into the ring (the binary trace
+// encoding, allocation-free once the event's strings are interned —
+// TestFlightRecorderZeroAlloc gates it), feed the inner tracer, then
+// classify for a trigger. The trigger event itself is recorded first,
+// so it is the last entry of the incident's event window.
 func (fr *FlightRecorder) Trace(ev TraceEvent) {
-	fr.record(&ev)
+	fr.rec.Trace(&ev)
 	if fr.inner != nil {
 		fr.inner.Trace(ev)
 	}
 	if trig := fr.trigger(&ev); trig != "" {
 		fr.capture(trig, ev.Node)
-	}
-}
-
-// record mirrors BinaryTracer's entry encoding into the flight ring.
-// Steady state (all strings seen before) is allocation-free, gated by
-// TestFlightRecorderZeroAlloc.
-func (fr *FlightRecorder) record(ev *TraceEvent) {
-	r := fr.rec
-	switch ev.Kind {
-	case "pause", "resume":
-		kind := trace.KindResume
-		if ev.Kind == "pause" {
-			kind = trace.KindPause
-		}
-		r.Record(trace.Entry{
-			Tick: ev.T, Kind: kind, Prio: uint8(ev.Prio),
-			A: r.Intern(ev.Node), B: r.Intern(ev.Peer), Depth: ev.Depth,
-		})
-	case "drop":
-		r.Record(trace.Entry{
-			Tick: ev.T, Kind: trace.KindDrop,
-			A: r.Intern(ev.Node), B: r.Intern(ev.Flow), C: r.Intern(ev.Reason),
-		})
-	case "demote":
-		r.Record(trace.Entry{
-			Tick: ev.T, Kind: trace.KindDemote,
-			A: r.Intern(ev.Node), B: r.Intern(ev.Flow),
-		})
-	case "detect":
-		r.Record(trace.Entry{
-			Tick: ev.T, Kind: trace.KindDetect, Prio: uint8(ev.Prio),
-			A: r.Intern(ev.Node), B: r.Intern(ev.Peer), C: r.Intern(ev.Reason),
-		})
-	case "mitigate":
-		r.Record(trace.Entry{
-			Tick: ev.T, Kind: trace.KindMitigate, Prio: uint8(ev.Prio),
-			A: r.Intern(ev.Node), C: r.Intern(ev.Reason), Depth: ev.Depth,
-		})
-	case "deadlock":
-		r.Record(trace.Entry{
-			Tick: ev.T, Kind: trace.KindDeadlock,
-			A: r.Intern(ev.Node), Aux: uint16(len(ev.Cycle)),
-		})
-		for _, edge := range ev.Cycle {
-			r.Record(trace.Entry{Tick: ev.T, Kind: trace.KindCycleEdge, C: r.Intern(edge)})
-		}
 	}
 }
 

@@ -1,157 +1,41 @@
 package sim
 
 import (
-	"encoding/json"
-	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/topology"
 	"repro/internal/trace"
 )
 
-// TraceEvent is one line of the simulator's structured event log.
-type TraceEvent struct {
-	// T is the simulation time in nanoseconds.
-	T int64 `json:"t"`
-	// Kind is "pause", "resume", "drop", "deadlock", "demote", "detect"
-	// (the in-switch detector saw its own tag return) or "mitigate" (its
-	// mitigation hook swept the initiating packets).
-	Kind string `json:"kind"`
-	// Node names the switch where the event happened.
-	Node string `json:"node"`
-	// Peer names the other end for pause/resume.
-	Peer string `json:"peer,omitempty"`
-	// Prio is the PFC priority involved.
-	Prio int `json:"prio,omitempty"`
-	// Depth is the lossless ingress occupancy (bytes) at a PFC
-	// transition — the queue depth that crossed XOFF (pause) or drained
-	// below XON (resume).
-	Depth int64 `json:"depth,omitempty"`
-	// Flow names the flow for drop/demote events.
-	Flow string `json:"flow,omitempty"`
-	// Reason qualifies drops ("ttl", "lossy-overflow", "no-route",
-	// "headroom", "reboot", "recovery-flush", "mitigate"), the transport
-	// medium for detect events ("packet", "pause"), and the action for
-	// mitigate events ("drop", "demote").
-	Reason string `json:"reason,omitempty"`
-	// Cycle carries the pause-wait cycle for deadlock events.
-	Cycle []string `json:"cycle,omitempty"`
-}
+// TraceEvent is one simulator event, as trace.Event defines it.
+type TraceEvent = trace.Event
 
 // Tracer receives simulator events as they happen. Implementations must
-// be fast; they run inline with the event loop.
+// be fast; they run inline with the event loop. trace.JSONLWriter and
+// BinaryTracer are the two capture encodings.
 type Tracer interface {
 	Trace(ev TraceEvent)
 }
 
-// JSONLTracer writes one JSON object per line, the legacy interchange
-// format for offline analysis. It costs an encode and a write per event
-// — fine for figure-sized runs; long soaks should use BinaryTracer.
-type JSONLTracer struct {
-	W io.Writer
-	// Err records the first write error. Tracing keeps accepting events
-	// after it, counting them into Dropped instead of writing.
-	Err error
-	// Dropped counts events lost after Err: the event that hit the
-	// error and everything since. Consumers surface it so a trace that
-	// ran out of disk reads as "lossy", never as "quiet".
-	Dropped int64
-	enc     *json.Encoder
-}
-
-// Trace implements Tracer.
-func (t *JSONLTracer) Trace(ev TraceEvent) {
-	if t.Err != nil {
-		t.Dropped++
-		return
-	}
-	if t.enc == nil {
-		t.enc = json.NewEncoder(t.W)
-	}
-	if err := t.enc.Encode(ev); err != nil {
-		t.Err = err
-		t.Dropped++
-	}
-}
-
 // BinaryTracer captures events in the internal/trace binary format: a
-// fixed-width entry into a single-producer ring buffer per event, with
+// fixed-width record into a single-producer ring buffer per event, with
 // a background goroutine draining to the sink. Steady-state capture is
 // a few stores plus two atomics — nanoseconds and zero heap
 // allocations per event (TestBinaryTracerZeroAlloc gates this) — so it
-// is the tracer for long soaks where JSONLTracer's per-event encode
-// would dominate the run.
+// is the tracer for long soaks where JSONL's per-event encode would
+// dominate the run.
 //
 // Callers must Close to flush the tail of the ring; Dropped reports
-// events lost to capture backpressure or sink errors.
-type BinaryTracer struct {
-	w        *trace.Writer
-	cycleIDs []uint32
-}
+// records lost to capture backpressure or sink errors.
+type BinaryTracer = trace.Writer
 
 // NewBinaryTracer starts a binary capture writing to w. cfg tunes the
 // ring and flush cadence; the zero Config is right for simulator use
 // (its tick rate is fixed at nanoseconds).
 func NewBinaryTracer(w io.Writer, cfg trace.Config) (*BinaryTracer, error) {
 	cfg.TickHz = trace.TickHzNanos
-	tw, err := trace.NewWriter(w, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &BinaryTracer{w: tw}, nil
+	return trace.NewWriter(w, cfg)
 }
-
-// Trace implements Tracer. Node, peer, flow, reason and cycle-edge
-// strings are interned on first sight; every later event referencing
-// them is allocation-free.
-func (t *BinaryTracer) Trace(ev TraceEvent) {
-	switch ev.Kind {
-	case "pause", "resume":
-		kind := trace.KindResume
-		if ev.Kind == "pause" {
-			kind = trace.KindPause
-		}
-		t.w.Emit(trace.Entry{
-			Tick: ev.T, Kind: kind, Prio: uint8(ev.Prio),
-			A: t.w.Intern(ev.Node), B: t.w.Intern(ev.Peer), Depth: ev.Depth,
-		})
-	case "drop":
-		t.w.Emit(trace.Entry{
-			Tick: ev.T, Kind: trace.KindDrop,
-			A: t.w.Intern(ev.Node), B: t.w.Intern(ev.Flow), C: t.w.Intern(ev.Reason),
-		})
-	case "demote":
-		t.w.Emit(trace.Entry{
-			Tick: ev.T, Kind: trace.KindDemote,
-			A: t.w.Intern(ev.Node), B: t.w.Intern(ev.Flow),
-		})
-	case "detect":
-		t.w.Emit(trace.Entry{
-			Tick: ev.T, Kind: trace.KindDetect, Prio: uint8(ev.Prio),
-			A: t.w.Intern(ev.Node), B: t.w.Intern(ev.Peer), C: t.w.Intern(ev.Reason),
-		})
-	case "mitigate":
-		t.w.Emit(trace.Entry{
-			Tick: ev.T, Kind: trace.KindMitigate, Prio: uint8(ev.Prio),
-			A: t.w.Intern(ev.Node), C: t.w.Intern(ev.Reason), Depth: ev.Depth,
-		})
-	case "deadlock":
-		ids := t.cycleIDs[:0]
-		for _, edge := range ev.Cycle {
-			ids = append(ids, t.w.Intern(edge))
-		}
-		t.cycleIDs = ids
-		t.w.EmitDeadlock(ev.T, t.w.Intern(ev.Node), ids)
-	}
-}
-
-// Dropped reports events lost to ring backpressure or sink errors.
-func (t *BinaryTracer) Dropped() int64 { return t.w.Dropped() }
-
-// Close drains and flushes the capture; it must be called before the
-// trace file is read.
-func (t *BinaryTracer) Close() error { return t.w.Close() }
 
 // CountingTracer tallies events by kind — the cheap always-on option.
 type CountingTracer struct {
@@ -181,13 +65,3 @@ func (n *Network) trace(ev TraceEvent) {
 }
 
 func (n *Network) nodeName(id topology.NodeID) string { return n.g.Node(id).Name }
-
-// WriteTraceSummary renders a CountingTracer's tallies.
-func WriteTraceSummary(w io.Writer, t *CountingTracer, d time.Duration) {
-	fmt.Fprintf(w, "trace over %v:\n", d)
-	for _, k := range []string{"pause", "resume", "demote", "drop", "deadlock", "detect", "mitigate"} {
-		if c := t.Counts[k]; c > 0 {
-			fmt.Fprintf(w, "  %-8s %d\n", k, c)
-		}
-	}
-}

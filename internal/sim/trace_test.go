@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"io"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -29,11 +28,6 @@ func TestCountingTracerSeesPFC(t *testing.T) {
 	if tr.Counts["pause"] != n.PauseFrames {
 		t.Errorf("tracer pauses %d vs counter %d", tr.Counts["pause"], n.PauseFrames)
 	}
-	var buf bytes.Buffer
-	WriteTraceSummary(&buf, tr, 5*time.Millisecond)
-	if !strings.Contains(buf.String(), "pause") {
-		t.Errorf("summary: %q", buf.String())
-	}
 }
 
 func TestJSONLTracerDeadlockOnset(t *testing.T) {
@@ -41,7 +35,7 @@ func TestJSONLTracerDeadlockOnset(t *testing.T) {
 	g := c.Graph
 	forceFig3Routes(c, tb)
 	var buf bytes.Buffer
-	n.SetTracer(&JSONLTracer{W: &buf})
+	n.SetTracer(&trace.JSONLWriter{W: &buf})
 	n.AddFlow(FlowSpec{Name: "green", Src: g.MustLookup("H9"), Dst: g.MustLookup("H1")})
 	n.AddFlow(FlowSpec{Name: "blue", Src: g.MustLookup("H2"), Dst: g.MustLookup("H13"),
 		Start: time.Millisecond})
@@ -95,36 +89,6 @@ func TestTracerDemoteAndDrops(t *testing.T) {
 	}
 }
 
-// TestJSONLTracerWriteError pins the silent-loss fix: after a write
-// error every subsequent event (and the one that hit the error) must be
-// counted into Dropped, not vanish.
-func TestJSONLTracerWriteError(t *testing.T) {
-	tr := &JSONLTracer{W: failingWriter{}}
-	tr.Trace(TraceEvent{Kind: "pause"})
-	if tr.Err == nil {
-		t.Fatal("write error not captured")
-	}
-	if tr.Dropped != 1 {
-		t.Fatalf("Dropped = %d after the failing event, want 1", tr.Dropped)
-	}
-	tr.Trace(TraceEvent{Kind: "pause"})
-	tr.Trace(TraceEvent{Kind: "drop"})
-	if tr.Dropped != 3 {
-		t.Fatalf("Dropped = %d after two more events, want 3", tr.Dropped)
-	}
-}
-
-// TestJSONLTracerCountsNothingOnSuccess: a healthy sink reports zero
-// loss.
-func TestJSONLTracerCountsNothingOnSuccess(t *testing.T) {
-	var buf bytes.Buffer
-	tr := &JSONLTracer{W: &buf}
-	tr.Trace(TraceEvent{Kind: "pause", Node: "A", Peer: "B"})
-	if tr.Err != nil || tr.Dropped != 0 {
-		t.Fatalf("err=%v dropped=%d", tr.Err, tr.Dropped)
-	}
-}
-
 // TestBinaryTracerMatchesJSONL: the same deterministic run captured by
 // both tracers must decode to the same event sequence — the format is
 // an encoding, not a different observer.
@@ -141,7 +105,7 @@ func TestBinaryTracerMatchesJSONL(t *testing.T) {
 	}
 
 	var jsonl bytes.Buffer
-	runTraced(&JSONLTracer{W: &jsonl})
+	runTraced(&trace.JSONLWriter{W: &jsonl})
 
 	var bin bytes.Buffer
 	bt, err := NewBinaryTracer(&bin, trace.Config{})
@@ -176,11 +140,7 @@ func TestBinaryTracerMatchesJSONL(t *testing.T) {
 		if err != nil {
 			break
 		}
-		fromBin = append(fromBin, TraceEvent{
-			T: ev.T, Kind: ev.Kind, Node: ev.Node, Peer: ev.Peer,
-			Prio: ev.Prio, Depth: ev.Depth, Flow: ev.Flow,
-			Reason: ev.Reason, Cycle: ev.Cycle,
-		})
+		fromBin = append(fromBin, ev)
 	}
 	if r.Skipped() != 0 || r.Truncated() {
 		t.Fatalf("binary decode skipped=%d truncated=%v", r.Skipped(), r.Truncated())
@@ -190,22 +150,10 @@ func TestBinaryTracerMatchesJSONL(t *testing.T) {
 	}
 	var sawDeadlock bool
 	for i := range fromJSONL {
-		want, got := fromJSONL[i], fromBin[i]
-		if want.Kind == "deadlock" {
-			sawDeadlock = true
-			if len(got.Cycle) != len(want.Cycle) {
-				t.Fatalf("event %d cycle %v != %v", i, got.Cycle, want.Cycle)
-			}
-			for j := range want.Cycle {
-				if got.Cycle[j] != want.Cycle[j] {
-					t.Fatalf("event %d cycle edge %d: %q != %q", i, j, got.Cycle[j], want.Cycle[j])
-				}
-			}
-			want.Cycle, got.Cycle = nil, nil
+		if !reflect.DeepEqual(fromBin[i], fromJSONL[i]) {
+			t.Fatalf("event %d:\n  binary %+v\n  jsonl  %+v", i, fromBin[i], fromJSONL[i])
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("event %d:\n  binary %+v\n  jsonl  %+v", i, got, want)
-		}
+		sawDeadlock = sawDeadlock || fromJSONL[i].Kind == "deadlock"
 	}
 	if !sawDeadlock {
 		t.Fatal("scenario produced no deadlock onset; the comparison is vacuous")
@@ -234,15 +182,3 @@ func TestBinaryTracerZeroAlloc(t *testing.T) {
 		t.Errorf("binary capture allocates %.2f allocs per 3 events, want 0", avg)
 	}
 }
-
-type failingWriter struct{}
-
-func (failingWriter) Write([]byte) (int, error) {
-	return 0, errWrite
-}
-
-var errWrite = &writeErr{}
-
-type writeErr struct{}
-
-func (*writeErr) Error() string { return "sink failed" }

@@ -3,11 +3,14 @@ package trace
 import "encoding/binary"
 
 // Entry is one decoded fixed-width record. Field meaning depends on
-// Kind:
+// Kind (encode and Reader.Next in reader.go are the one mapping between
+// events and entries):
 //
 //	KindPause/KindResume: A=node, B=peer (string IDs), Prio, Depth
 //	KindDrop:             A=node, B=flow, C=reason
 //	KindDemote:           A=node, B=flow
+//	KindDetect:           A=node, B=peer, C=reason, Prio
+//	KindMitigate:         A=node, C=reason, Prio, Depth
 //	KindDeadlock:         A=node, Aux=cycle length
 //	KindCycleEdge:        C=edge description (one per cycle member)
 //	KindStrDef:           A=assigned ID, Aux=byte length; the string

@@ -2,14 +2,16 @@ package trace
 
 import (
 	"bufio"
+	"encoding/binary"
 	"io"
 )
 
 // Recorder is the flight recorder's in-memory ring: a fixed number of
-// 32-byte entry slots that the producer overwrites oldest-first, so the
-// last K microseconds of events are always on hand for an incident dump
-// while steady-state cost stays at one slice store per record — no
-// atomics, no goroutine, no allocation.
+// 32-byte entry slots, holding entries already marshaled in the wire
+// layout, that the producer overwrites oldest-first, so the last K
+// microseconds of events are always on hand for an incident dump while
+// steady-state cost stays at one marshal per entry — no atomics, no
+// goroutine, no allocation.
 //
 // This is deliberately NOT the SPSC ring behind Writer: that one feeds
 // a live consumer and drops the newest records under backpressure
@@ -24,12 +26,13 @@ import (
 //
 // A Recorder is single-goroutine, like the simulator it instruments.
 type Recorder struct {
-	slots []Entry
+	slots [][EntrySize]byte // marshaled entries
 	mask  uint64
 	head  uint64 // total records ever written
 
 	strs map[string]uint32
 	defs []string // defs[i] is the string behind ID i+1
+	rec  []Entry  // Trace's encode scratch
 }
 
 // NewRecorder sizes a ring of at least the given slot count (rounded up
@@ -44,7 +47,7 @@ func NewRecorder(slots int) *Recorder {
 		n <<= 1
 	}
 	return &Recorder{
-		slots: make([]Entry, n),
+		slots: make([][EntrySize]byte, n),
 		mask:  uint64(n - 1),
 		strs:  make(map[string]uint32),
 	}
@@ -69,10 +72,22 @@ func (r *Recorder) Intern(s string) uint32 {
 	return id
 }
 
+// Trace records one event as its wire record (see encode), the same
+// entries Writer captures. Once its strings are interned it is
+// allocation-free.
+func (r *Recorder) Trace(ev *Event) {
+	r.rec = encode(r.rec[:0], ev, r)
+	for i := range r.rec {
+		r.record(&r.rec[i])
+	}
+}
+
 // Record stores one entry, overwriting the oldest once the ring is
-// full. This is the steady-state hot path: a store and an increment.
-func (r *Recorder) Record(e Entry) {
-	r.slots[r.head&r.mask] = e
+// full. This is the steady-state hot path: a marshal and an increment.
+func (r *Recorder) Record(e Entry) { r.record(&e) }
+
+func (r *Recorder) record(e *Entry) {
+	e.marshal(&r.slots[r.head&r.mask])
 	r.head++
 }
 
@@ -128,11 +143,11 @@ func (r *Recorder) Dump(w io.Writer, fromTick int64, snapshot []Entry) error {
 		start = r.head - uint64(len(r.slots))
 	}
 	for i := start; i < r.head; i++ {
-		e := r.slots[i&r.mask]
-		if e.Tick < fromTick {
+		slot := &r.slots[i&r.mask]
+		if int64(binary.LittleEndian.Uint64(slot[0:8])) < fromTick {
 			continue
 		}
-		if err := writeEntry(e); err != nil {
+		if _, err := bw.Write(slot[:]); err != nil {
 			return err
 		}
 	}

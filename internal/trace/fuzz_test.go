@@ -22,7 +22,7 @@ func FuzzTraceDecode(f *testing.F) {
 	a, b := w.Intern("T1"), w.Intern("L1")
 	w.Emit(Entry{Tick: 10, Kind: KindPause, A: a, B: b, Prio: 1, Depth: 9216})
 	w.Emit(Entry{Tick: 20, Kind: KindResume, A: a, B: b, Prio: 1})
-	w.EmitDeadlock(30, a, []uint32{w.Intern("T1->L1 prio 1"), w.Intern("L1->T1 prio 1")})
+	w.Trace(Event{T: 30, Kind: "deadlock", Node: "T1", Cycle: []string{"T1->L1 prio 1", "L1->T1 prio 1"}})
 	if err := w.Close(); err != nil {
 		f.Fatal(err)
 	}
@@ -56,9 +56,7 @@ func FuzzTraceDecode(f *testing.F) {
 			if err != nil {
 				t.Fatalf("decode error: %v", err)
 			}
-			switch ev.Kind {
-			case "pause", "resume", "drop", "demote", "deadlock":
-			default:
+			if KindOf(ev.Kind) == KindInvalid {
 				t.Fatalf("fabricated kind %q", ev.Kind)
 			}
 		}

@@ -2,33 +2,33 @@ package pipeline
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 
 	"repro/internal/trace"
 )
 
 // JSONLSink is the compatibility export stage: it re-emits the event
-// stream in the legacy line-oriented format, byte-identical to what
-// sim.JSONLTracer would have written for the same events (trace.Event
-// mirrors its field order and tags). `taggertrace -o jsonl` uses it to
-// downgrade binary captures for tools that still speak JSONL.
+// stream in the line-oriented format through trace.JSONLWriter, so the
+// output is byte-identical to a JSONL capture of the same events.
+// `taggertrace -o jsonl` uses it to downgrade binary captures for tools
+// that still speak JSONL.
 type JSONLSink struct {
-	bw  *bufio.Writer
-	enc *json.Encoder
+	bw *bufio.Writer
+	w  *trace.JSONLWriter
 }
 
 // NewJSONLSink buffers writes to w.
 func NewJSONLSink(w io.Writer) *JSONLSink {
 	bw := bufio.NewWriterSize(w, 1<<16)
-	return &JSONLSink{bw: bw, enc: json.NewEncoder(bw)}
+	return &JSONLSink{bw: bw, w: &trace.JSONLWriter{W: bw}}
 }
 
-// Consume implements Sink.
+// Consume implements Sink. It returns the first write error.
 func (s *JSONLSink) Consume(batch []trace.Event) error {
 	for i := range batch {
-		if err := s.enc.Encode(&batch[i]); err != nil {
-			return err
+		s.w.Trace(batch[i])
+		if s.w.Err != nil {
+			return s.w.Err
 		}
 	}
 	return nil

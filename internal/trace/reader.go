@@ -109,6 +109,95 @@ func (r *Reader) nanos(tick int64) int64 {
 	return tick/hz*1e9 + tick%hz*1e9/hz
 }
 
+// wireFields is the one event↔entry field mapping: which Event fields
+// each simple event kind carries. Every kind stores Node in A; Peer or
+// Flow (never both) goes in B, Reason in C. Deadlock onsets are
+// multi-entry records and handled apart.
+var wireFields = [kindMax]fieldSet{
+	KindPause:    fPeer | fPrio | fDepth,
+	KindResume:   fPeer | fPrio | fDepth,
+	KindDrop:     fFlow | fReason,
+	KindDemote:   fFlow,
+	KindDetect:   fPeer | fReason | fPrio,
+	KindMitigate: fReason | fPrio | fDepth,
+}
+
+type fieldSet uint8
+
+const (
+	fPeer fieldSet = 1 << iota
+	fFlow
+	fReason
+	fPrio
+	fDepth
+)
+
+// interner assigns string IDs: Writer and Recorder.
+type interner interface{ Intern(s string) uint32 }
+
+// encode appends ev's wire record to rec: one entry, or for a deadlock
+// the onset plus one KindCycleEdge entry per hop. Strings are interned
+// node first, then in field order (peer or flow, reason, cycle hops).
+// An event kind with no wire form encodes to nothing.
+func encode(rec []Entry, ev *Event, in interner) []Entry {
+	k := KindOf(ev.Kind)
+	if k == KindInvalid {
+		return rec
+	}
+	// Fill the entry in place: building it aside and copying it in
+	// costs a store-forwarding stall per event.
+	rec = append(rec, Entry{})
+	e := &rec[len(rec)-1]
+	e.Tick, e.Kind = ev.T, k
+	e.A = in.Intern(ev.Node)
+	if k == KindDeadlock {
+		e.Aux = uint16(len(ev.Cycle))
+		for _, hop := range ev.Cycle {
+			rec = append(rec, Entry{Tick: ev.T, Kind: KindCycleEdge, C: in.Intern(hop)})
+		}
+		return rec
+	}
+	f := wireFields[k]
+	if f&fPeer != 0 {
+		e.B = in.Intern(ev.Peer)
+	}
+	if f&fFlow != 0 {
+		e.B = in.Intern(ev.Flow)
+	}
+	if f&fReason != 0 {
+		e.C = in.Intern(ev.Reason)
+	}
+	if f&fPrio != 0 {
+		e.Prio = uint8(ev.Prio)
+	}
+	if f&fDepth != 0 {
+		e.Depth = ev.Depth
+	}
+	return rec
+}
+
+// decode is encode's inverse for a single-entry event.
+func (r *Reader) decode(e Entry) Event {
+	ev := Event{T: r.nanos(e.Tick), Kind: e.Kind.String(), Node: r.str(e.A)}
+	f := wireFields[e.Kind]
+	if f&fPeer != 0 {
+		ev.Peer = r.str(e.B)
+	}
+	if f&fFlow != 0 {
+		ev.Flow = r.str(e.B)
+	}
+	if f&fReason != 0 {
+		ev.Reason = r.str(e.C)
+	}
+	if f&fPrio != 0 {
+		ev.Prio = int(e.Prio)
+	}
+	if f&fDepth != 0 {
+		ev.Depth = e.Depth
+	}
+	return ev
+}
+
 // Next returns the next event, or io.EOF at end of stream. Structural
 // records (string definitions, cycle edges) are folded in and never
 // surfaced.
@@ -123,34 +212,8 @@ func (r *Reader) Next() (Event, error) {
 			if err := r.readStrDef(e); err != nil {
 				return Event{}, err
 			}
-		case KindPause, KindResume:
-			return Event{
-				T: r.nanos(e.Tick), Kind: e.Kind.String(),
-				Node: r.str(e.A), Peer: r.str(e.B),
-				Prio: int(e.Prio), Depth: e.Depth,
-			}, nil
-		case KindDrop:
-			return Event{
-				T: r.nanos(e.Tick), Kind: e.Kind.String(),
-				Node: r.str(e.A), Flow: r.str(e.B), Reason: r.str(e.C),
-			}, nil
-		case KindDemote:
-			return Event{
-				T: r.nanos(e.Tick), Kind: e.Kind.String(),
-				Node: r.str(e.A), Flow: r.str(e.B),
-			}, nil
-		case KindDetect:
-			return Event{
-				T: r.nanos(e.Tick), Kind: e.Kind.String(),
-				Node: r.str(e.A), Peer: r.str(e.B), Reason: r.str(e.C),
-				Prio: int(e.Prio),
-			}, nil
-		case KindMitigate:
-			return Event{
-				T: r.nanos(e.Tick), Kind: e.Kind.String(),
-				Node: r.str(e.A), Reason: r.str(e.C),
-				Prio: int(e.Prio), Depth: e.Depth,
-			}, nil
+		case KindPause, KindResume, KindDrop, KindDemote, KindDetect, KindMitigate:
+			return r.decode(e), nil
 		case KindDeadlock:
 			return r.readDeadlock(e)
 		case KindSnapStart, KindWaitQueue, KindWaitEdge, KindQueueState,

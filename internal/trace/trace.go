@@ -148,30 +148,36 @@ func KindOf(name string) Kind {
 	return KindInvalid
 }
 
-// Event is one normalized trace event, the common currency of the
-// analysis pipeline. The struct shape (field order and JSON tags)
-// matches sim.TraceEvent exactly, so JSONL produced from either is
-// byte-identical for the same event sequence.
+// Event is one trace event: what the simulator emits to its tracers
+// (sim.TraceEvent is an alias), what Writer and Recorder encode, what
+// Reader decodes and what the analysis pipeline consumes. JSONLWriter
+// encodes it one JSON object per line, so the field order and JSON tags
+// are the JSONL format.
 type Event struct {
 	// T is the event time in nanoseconds (ticks are rescaled on read if
 	// the producer's tick rate differs).
 	T int64 `json:"t"`
 	// Kind is "pause", "resume", "drop", "deadlock", "demote", "detect"
-	// or "mitigate".
+	// (the in-switch detector saw its own tag return) or "mitigate" (its
+	// mitigation hook swept the initiating packets).
 	Kind string `json:"kind"`
 	// Node names the switch where the event happened.
 	Node string `json:"node"`
-	// Peer names the other end for pause/resume.
+	// Peer names the other end for pause/resume, and the origin-ingress
+	// peer for detect events.
 	Peer string `json:"peer,omitempty"`
 	// Prio is the PFC priority involved.
 	Prio int `json:"prio,omitempty"`
 	// Depth is the lossless ingress occupancy (bytes) at a PFC
-	// transition.
+	// transition — the queue depth that crossed XOFF (pause) or drained
+	// below XON (resume) — and the bytes a mitigate sweep removed.
 	Depth int64 `json:"depth,omitempty"`
 	// Flow names the flow for drop/demote events.
 	Flow string `json:"flow,omitempty"`
 	// Reason qualifies drops ("ttl", "lossy-overflow", "no-route",
-	// "headroom").
+	// "headroom", "reboot", "recovery-flush", "mitigate"), the transport
+	// medium for detect events ("packet", "pause"), and the action for
+	// mitigate events ("drop", "demote").
 	Reason string `json:"reason,omitempty"`
 	// Cycle carries the pause-wait cycle for deadlock events.
 	Cycle []string `json:"cycle,omitempty"`

@@ -27,9 +27,9 @@ type Config struct {
 	Dropped *telemetry.Counter
 }
 
-// Writer captures fixed-width entries from a single producer goroutine
-// and streams them to an io.Writer from a background goroutine. Emit
-// and Intern are wait-free and allocation-free in steady state (a
+// Writer captures events from a single producer goroutine as
+// fixed-width entries and streams them to an io.Writer from a
+// background goroutine. Trace, Emit and Intern are wait-free and allocation-free in steady state (a
 // first-seen string allocates once for its table entry); neither ever
 // blocks on the sink. Close stops the drainer, flushes, and reports the
 // first sink error.
@@ -40,6 +40,7 @@ type Writer struct {
 	// strs interns strings; producer-only.
 	strs   map[string]internedString
 	nextID uint32
+	rec    []Entry // Trace's encode scratch; producer-only
 
 	ctr *telemetry.Counter
 
@@ -131,34 +132,33 @@ func (w *Writer) Intern(s string) uint32 {
 	return e.id
 }
 
-// Emit captures one entry, dropping (and counting) it when the ring is
-// full. Single producer only.
-func (w *Writer) Emit(e Entry) {
-	start, fit := w.ring.reserve(1)
-	if !fit {
-		w.countDrop()
-		return
-	}
-	e.marshal(w.ring.slot(start))
-	w.ring.publish(1)
+// Trace captures one event as its wire record (see encode): its
+// strings are interned first, then the record goes into the ring whole
+// or is dropped whole. Once its strings are interned it is
+// allocation-free. Single producer only.
+func (w *Writer) Trace(ev Event) {
+	w.rec = encode(w.rec[:0], &ev, w)
+	w.emit(w.rec)
 }
 
-// EmitDeadlock captures a deadlock onset: the onset entry plus one
-// cycle-edge entry per interned edge ID, as one all-or-nothing record.
-func (w *Writer) EmitDeadlock(tick int64, node uint32, edges []uint32) {
-	k := 1 + len(edges)
-	start, fit := w.ring.reserve(k)
+// Emit captures one raw entry, dropping (and counting) it when the ring
+// is full. Single producer only.
+func (w *Writer) Emit(e Entry) { w.emit([]Entry{e}) }
+
+// emit captures rec as one all-or-nothing record.
+func (w *Writer) emit(rec []Entry) {
+	if len(rec) == 0 {
+		return
+	}
+	start, fit := w.ring.reserve(len(rec))
 	if !fit {
 		w.countDrop()
 		return
 	}
-	on := Entry{Tick: tick, Kind: KindDeadlock, A: node, Aux: uint16(len(edges))}
-	on.marshal(w.ring.slot(start))
-	for i, id := range edges {
-		ce := Entry{Tick: tick, Kind: KindCycleEdge, C: id}
-		ce.marshal(w.ring.slot(start + 1 + uint64(i)))
+	for i := range rec {
+		rec[i].marshal(w.ring.slot(start + uint64(i)))
 	}
-	w.ring.publish(k)
+	w.ring.publish(len(rec))
 }
 
 // Dropped returns how many records were lost — to ring backpressure or

@@ -45,8 +45,7 @@ func TestWriterRoundTrip(t *testing.T) {
 	w.Emit(Entry{Tick: 15, Kind: KindDrop, A: t1, B: f1, C: ttl})
 	w.Emit(Entry{Tick: 20, Kind: KindResume, A: t1, B: l1, Prio: 1, Depth: 1024})
 	w.Emit(Entry{Tick: 25, Kind: KindDemote, A: l1, B: f1})
-	e1, e2 := w.Intern("L1->T1 prio 1"), w.Intern("T1->L1 prio 1")
-	w.EmitDeadlock(30, l1, []uint32{e1, e2})
+	w.Trace(Event{T: 30, Kind: "deadlock", Node: "L1", Cycle: []string{"L1->T1 prio 1", "T1->L1 prio 1"}})
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
