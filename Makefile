@@ -10,23 +10,31 @@ BENCH_OUT ?= BENCH_$(shell date +%F).json
 # benchmarks and fails on a >15% time regression against that snapshot.
 BENCH_BASELINE ?=
 
-.PHONY: all check build vet test determinism race detect-smoke bench bench-sim benchdiff benchgate telemetry-overhead engine-golden trace-golden postmortem-golden taggersim-golden fuzz fuzz-smoke churn-fuzz cache-fuzz cover examples experiments clean
+.PHONY: all check build fmt vet test determinism race detect-smoke bench bench-sim benchdiff benchgate telemetry-overhead engine-golden trace-golden postmortem-golden taggersim-golden fuzz fuzz-smoke churn-fuzz cache-fuzz cover examples experiments clean
 
 all: check
 
-# check is the pre-merge gate: build, vet, tests, the parallel-determinism
-# contract under the race detector, the full race suite, the
-# detect-vs-prevent matrix smoke, the bounded differential fuzz smoke,
-# the trace-format, post-mortem and taggersim report goldens, the
-# telemetry overhead gate, and (opt-in via BENCH_BASELINE) the benchmark
-# regression gate.
-check: build vet test determinism race detect-smoke fuzz-smoke churn-fuzz cache-fuzz trace-golden postmortem-golden taggersim-golden telemetry-overhead benchgate
+# check is the pre-merge gate: build, gofmt, vet (the benchmark module
+# too), tests, the parallel-determinism contract under the race
+# detector, the full race suite, the detect-vs-prevent matrix smoke, the
+# bounded differential fuzz smoke, the trace-format, post-mortem and
+# taggersim report goldens, the telemetry overhead gate, and (opt-in via
+# BENCH_BASELINE) the benchmark regression gate.
+check: build fmt vet test determinism race detect-smoke fuzz-smoke churn-fuzz cache-fuzz trace-golden postmortem-golden taggersim-golden telemetry-overhead benchgate
 
 build:
 	$(GO) build ./...
 
+# Every Go file must be gofmt-clean.
+fmt:
+	test -z "$$(gofmt -l .)"
+
+# tagbench/ is a nested module that ./... never reaches, so it is vetted
+# (and with it compiled) on its own: an internal API change must not
+# break the benchmark unseen.
 vet:
 	$(GO) vet ./...
+	cd tagbench && $(GO) vet ./...
 
 test:
 	$(GO) test ./...
