@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -35,15 +34,18 @@ func (n *Network) DetectDeadlock() []string {
 	return n.cycleNames(cyc)
 }
 
-// cycleNames renders a raw cycle in DetectDeadlock's presentation.
+// cycleNames renders a raw cycle in DetectDeadlock's presentation:
+// trace.RotateCycle's canonical rotation. The raw order is left alone.
 func (n *Network) cycleNames(cyc []pausedQueue) []string {
-	out := make([]string, 0, len(cyc))
-	for _, q := range cyc {
+	cyc = trace.RotateCycle(cyc, func(q pausedQueue) (string, string, int) {
 		rt := &n.nodes[q.node]
-		out = append(out, fmt.Sprintf("%s->%s prio %d",
-			n.g.Node(rt.id).Name, n.g.Node(rt.ports[q.port].peer).Name, q.prio))
+		return n.nodeName(rt.id), n.nodeName(rt.ports[q.port].peer), q.prio
+	})
+	out := make([]string, len(cyc))
+	for i, q := range cyc {
+		rt := &n.nodes[q.node]
+		out[i] = fmt.Sprintf("%s->%s prio %d", n.nodeName(rt.id), n.nodeName(rt.ports[q.port].peer), q.prio)
 	}
-	sort.Strings(out[1:]) // stable-ish presentation beyond the entry point
 	return out
 }
 

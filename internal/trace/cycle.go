@@ -1,9 +1,14 @@
 package trace
 
+import (
+	"cmp"
+	"strings"
+)
+
 // FindCycle returns one cycle in a dense adjacency list, or nil: an
 // iterative DFS from vertex 0 upward in adjacency order, where the first
 // back edge u -> v closes the cycle, returned as the path from v's
-// successor through u to v. Callers wanting a canonical form rotate it.
+// successor through u to v. Callers present it through RotateCycle.
 func FindCycle(adj [][]int) []int {
 	const (
 		white = 0
@@ -49,4 +54,21 @@ func FindCycle(adj [][]int) []int {
 		}
 	}
 	return nil
+}
+
+// RotateCycle returns a copy of cyc rotated so that its least hop by
+// (node, peer, prio) comes first: the one presentation of a wait-for
+// cycle, independent of where the DFS entered it. hop names a member.
+func RotateCycle[T any](cyc []T, hop func(T) (node, peer string, prio int)) []T {
+	best := 0
+	for i := 1; i < len(cyc); i++ {
+		n, p, q := hop(cyc[i])
+		bn, bp, bq := hop(cyc[best])
+		if cmp.Or(strings.Compare(n, bn), strings.Compare(p, bp), cmp.Compare(q, bq)) < 0 {
+			best = i
+		}
+	}
+	out := make([]T, 0, len(cyc))
+	out = append(out, cyc[best:]...)
+	return append(out, cyc[:best]...)
 }

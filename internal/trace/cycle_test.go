@@ -26,3 +26,33 @@ func TestFindCycleOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestRotateCycle: the least hop by (node, peer, prio) comes first, the
+// walk order is kept, and the input is not modified.
+func TestRotateCycle(t *testing.T) {
+	type hop struct {
+		node, peer string
+		prio       int
+	}
+	name := func(h hop) (string, string, int) { return h.node, h.peer, h.prio }
+	for _, c := range []struct {
+		name string
+		in   []hop
+		want []hop
+	}{
+		{"empty", nil, []hop{}},
+		{"by node", []hop{{"L3", "S2", 3}, {"S2", "L1", 3}, {"L1", "S1", 3}, {"S1", "L3", 3}},
+			[]hop{{"L1", "S1", 3}, {"S1", "L3", 3}, {"L3", "S2", 3}, {"S2", "L1", 3}}},
+		{"by peer", []hop{{"A", "C", 1}, {"A", "B", 1}}, []hop{{"A", "B", 1}, {"A", "C", 1}}},
+		{"by prio", []hop{{"A", "B", 2}, {"A", "B", 1}}, []hop{{"A", "B", 1}, {"A", "B", 2}}},
+		{"already canonical", []hop{{"A", "B", 1}, {"B", "A", 1}}, []hop{{"A", "B", 1}, {"B", "A", 1}}},
+	} {
+		in := append([]hop(nil), c.in...)
+		if got := RotateCycle(c.in, name); !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%s: RotateCycle = %v, want %v", c.name, got, c.want)
+		}
+		if !reflect.DeepEqual(c.in, in) {
+			t.Errorf("%s: input modified to %v", c.name, c.in)
+		}
+	}
+}

@@ -109,34 +109,12 @@ func waitCycle(s *trace.Snapshot) []int {
 		}
 	}
 	if cyc := trace.FindCycle(adj); cyc != nil {
-		return rotateCycle(s, cyc)
+		return trace.RotateCycle(cyc, func(i int) (string, string, int) {
+			q := s.WaitQueues[i]
+			return q.Node, q.Peer, q.Prio
+		})
 	}
 	return nil
-}
-
-// rotateCycle rotates cyc so its lexicographically smallest queue
-// comes first — the canonical form, independent of DFS entry point.
-func rotateCycle(s *trace.Snapshot, cyc []int) []int {
-	best := 0
-	less := func(a, b int) bool {
-		qa, qb := s.WaitQueues[cyc[a]], s.WaitQueues[cyc[b]]
-		if qa.Node != qb.Node {
-			return qa.Node < qb.Node
-		}
-		if qa.Peer != qb.Peer {
-			return qa.Peer < qb.Peer
-		}
-		return qa.Prio < qb.Prio
-	}
-	for i := 1; i < len(cyc); i++ {
-		if less(i, best) {
-			best = i
-		}
-	}
-	out := make([]int, 0, len(cyc))
-	out = append(out, cyc[best:]...)
-	out = append(out, cyc[:best]...)
-	return out
 }
 
 // Render writes the forensics report: capture provenance, onset
