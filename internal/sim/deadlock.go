@@ -37,14 +37,15 @@ func (n *Network) DetectDeadlock() []string {
 // cycleNames renders a raw cycle in DetectDeadlock's presentation:
 // trace.RotateCycle's canonical rotation. The raw order is left alone.
 func (n *Network) cycleNames(cyc []pausedQueue) []string {
-	cyc = trace.RotateCycle(cyc, func(q pausedQueue) (string, string, int) {
+	hop := func(q pausedQueue) (string, string, int) {
 		rt := &n.nodes[q.node]
 		return n.nodeName(rt.id), n.nodeName(rt.ports[q.port].peer), q.prio
-	})
+	}
+	cyc = trace.RotateCycle(cyc, hop)
 	out := make([]string, len(cyc))
 	for i, q := range cyc {
-		rt := &n.nodes[q.node]
-		out[i] = fmt.Sprintf("%s->%s prio %d", n.nodeName(rt.id), n.nodeName(rt.ports[q.port].peer), q.prio)
+		node, peer, prio := hop(q)
+		out[i] = fmt.Sprintf("%s->%s prio %d", node, peer, prio)
 	}
 	return out
 }

@@ -29,10 +29,10 @@ type Config struct {
 
 // Writer captures events from a single producer goroutine as
 // fixed-width entries and streams them to an io.Writer from a
-// background goroutine. Trace, Emit and Intern are wait-free and allocation-free in steady state (a
-// first-seen string allocates once for its table entry); neither ever
-// blocks on the sink. Close stops the drainer, flushes, and reports the
-// first sink error.
+// background goroutine. Trace, Emit and Intern are wait-free and
+// allocation-free in steady state (a first-seen string allocates once
+// for its table entry); none ever blocks on the sink. Close stops the
+// drainer, flushes, and reports the first sink error.
 type Writer struct {
 	ring *ring
 	out  *bufio.Writer
