@@ -209,7 +209,7 @@ func TestGoldenPostmortemFresh(t *testing.T) {
 
 // TestGoldenJSONLExport pins the compatibility downgrade: `-o jsonl`
 // over the binary capture must re-emit the legacy format byte-for-byte
-// — exactly the file sim.JSONLTracer wrote for the same run.
+// — exactly the file JSONL capture (trace.JSONLWriter) wrote for the same run.
 func TestGoldenJSONLExport(t *testing.T) {
 	if *update {
 		regenerate(t)

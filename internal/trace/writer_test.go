@@ -195,7 +195,7 @@ func TestDroppedStrDefHealsOnRetry(t *testing.T) {
 
 // TestWriterSinkError: a failing sink surfaces through Close and the
 // discarded records are counted, never stalling the producer — the
-// binary analogue of the JSONLTracer failingWriter contract. (The
+// binary analogue of the JSONLWriter write-error contract. (The
 // header lives in the bufio layer, so the error lands on the first
 // drained batch big enough to force a flush.)
 func TestWriterSinkError(t *testing.T) {
